@@ -3,8 +3,11 @@
 A monomial is stored as a support bitmask over the 2n Majorana generators
 together with an integer power of i, so all products, conjugations and sign
 rules are exact.  Dense matrices are produced through the Jordan-Wigner
-image (one representation, one oracle) and are only needed for small mode
-counts.
+image and are only needed for small mode counts.  Hot paths never build
+them: under Jordan-Wigner a monomial is a signed permutation of the basis,
+``gamma |b> = d[b] |b ^ flip>``, which :func:`monomial_action` returns and
+:func:`apply_monomial` and :func:`monomial_trace` use in O(2^n) work per
+vector or trace.
 
 Conventions
 -----------
@@ -24,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +43,9 @@ __all__ = [
     "conjugation_sign",
     "to_pauli",
     "pauli_dense",
+    "monomial_action",
+    "apply_monomial",
+    "monomial_trace",
     "dense_matrix",
     "braid_conjugate",
     "braid_unitary",
@@ -244,22 +249,22 @@ class PauliString:
         return _PHASE_LABELS[self.phase_quarter] + "*" + "".join(self.letters)
 
 
-def _jw_letters(index: int, n_modes: int) -> list[str]:
-    """Jordan-Wigner image of a single generator (1-based index)."""
-    mode = (index + 1) // 2
-    head = "X" if index % 2 else "Y"
-    return ["Z"] * (mode - 1) + [head] + ["I"] * (n_modes - mode)
-
-
 def to_pauli(m: ScaledMonomial) -> PauliString:
-    """Jordan-Wigner image of a monomial, phase included."""
+    """Jordan-Wigner image of a monomial, phase included.
+
+    Generator ``j`` on qubit ``h = (j-1)//2`` maps to ``Z`` on qubits below
+    ``h``, then ``X`` (odd ``j``) or ``Y`` (even ``j``) on ``h``, identity
+    above; the images are multiplied in ascending order, letter by letter.
+    """
     letters = ["I"] * m.n_modes
     phase = m.phase_quarter
     for j in m.indices:
-        for q, letter in enumerate(_jw_letters(j, m.n_modes)):
-            new, extra = _PAULI_MUL[(letters[q], letter)]
-            letters[q] = new
+        head = (j - 1) // 2
+        for q in range(head):
+            letters[q], extra = _PAULI_MUL[(letters[q], "Z")]
             phase += extra
+        letters[head], extra = _PAULI_MUL[(letters[head], "X" if j % 2 else "Y")]
+        phase += extra
     return PauliString(m.n_modes, tuple(letters), phase % 4)
 
 
@@ -273,18 +278,54 @@ def pauli_dense(p: PauliString) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _dense_cached(n_modes: int, support: int, phase_quarter: int) -> np.ndarray:
-    mat = pauli_dense(to_pauli(ScaledMonomial(n_modes, support, phase_quarter)))
-    mat.setflags(write=False)
-    return mat
+def monomial_action(m: ScaledMonomial) -> tuple[int, np.ndarray]:
+    """Matrix-free Jordan-Wigner action ``gamma |b> = d[b] |b ^ flip>``.
+
+    ``flip`` holds the X/Y qubits of ``to_pauli(m)``; with ``Y = i X Z`` the
+    diagonal is ``d[b] = i**(phase + #Y) * (-1)**popcount(b & zmask)`` where
+    ``zmask`` holds the Y/Z qubits.
+    """
+    p = to_pauli(m)
+    flip = zmask = 0
+    for q, letter in enumerate(p.letters):
+        if letter in "XY":
+            flip |= 1 << q
+        if letter in "YZ":
+            zmask |= 1 << q
+    quarter = (p.phase_quarter + p.letters.count("Y")) % 4
+    basis = np.arange(2 ** m.n_modes, dtype=np.int64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(basis & zmask) & 1)
+    return flip, _PHASE_VALUES[quarter] * signs
+
+
+def apply_monomial(m: ScaledMonomial, v: np.ndarray) -> np.ndarray:
+    """``gamma @ v`` for a vector, or column-wise for a matrix, in O(size)."""
+    flip, d = monomial_action(m)
+    v = np.asarray(v)
+    scaled = d.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return scaled[np.arange(len(d)) ^ flip]
+
+
+def monomial_trace(m: ScaledMonomial, rho: np.ndarray) -> complex:
+    """``tr(gamma rho) = sum_b d[b] rho[b, b ^ flip]`` in O(2^n)."""
+    flip, d = monomial_action(m)
+    basis = np.arange(len(d))
+    return complex(np.dot(d, rho[basis, basis ^ flip]))
 
 
 def dense_matrix(m: ScaledMonomial) -> np.ndarray:
-    """Dense ``2^n`` realization via the Jordan-Wigner image."""
+    """Dense ``2^n`` realization, the action scattered into a zero matrix.
+
+    Uncached oracle; :func:`pauli_dense` of :func:`to_pauli` is the
+    independent Kronecker-product check.
+    """
     if m.n_modes > DENSE_LIMIT:
         raise ValueError(f"dense limit {DENSE_LIMIT} exceeded")
-    return _dense_cached(m.n_modes, m.support, m.phase_quarter)
+    flip, d = monomial_action(m)
+    basis = np.arange(len(d))
+    out = np.zeros((len(d), len(d)), dtype=complex)
+    out[basis ^ flip, basis] = d
+    return out
 
 
 @dataclass(frozen=True)

@@ -269,9 +269,10 @@ def _cmd_estimate(args):
         return EXIT_UNCOVERED
     ham_record = None
     if args.shots == 0:
-        records = exact_expectations(state, parent, targets)
+        # one probability table for the targets and the Hamiltonian terms
+        records = exact_expectations(state, parent, list(targets) + ham_terms)
+        records, term_records = records[: len(targets)], records[len(targets) :]
         if ham:
-            term_records = exact_expectations(state, parent, ham_terms)
             total = sum(c * r.estimate for (_, c), r in zip(ham.terms, term_records))
             from majorana_jm.sampling import EstimationRecord
 

@@ -18,6 +18,7 @@ from majorana_jm.algebra import (
     ScaledMonomial,
     canonical_monomial,
     dense_matrix,
+    monomial_action,
     monomial_product,
     subsets_of_size,
 )
@@ -192,22 +193,14 @@ def givens_factors(o) -> tuple[list[tuple[int, int, float]], bool]:
     return factors, bool(flip)
 
 
-def _rotation_unitary(i: int, j: int, theta: float, n_modes: int) -> np.ndarray:
-    """Dense ``exp(theta/2 * gamma_i gamma_j)`` for 0-based plane (i, j)."""
-    pair = monomial_product(
-        ScaledMonomial(n_modes, 1 << i, 0), ScaledMonomial(n_modes, 1 << j, 0)
-    )
-    gij = dense_matrix(pair)
-    eye = np.eye(gij.shape[0], dtype=complex)
-    return math.cos(theta / 2.0) * eye + math.sin(theta / 2.0) * gij
-
-
 def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     """Dense unitary U with ``U^dag gamma_j U = sum_j' O[j,j'] gamma_j'``.
 
     The SO part is realized as a product of ``exp(theta/2 gamma_i gamma_j)``
     plane rotations from :func:`givens_factors`; a determinant of -1
-    contributes one extra conjugation by the last generator.
+    contributes one extra conjugation by the last generator.  Each factor
+    ``cos + sin gamma_i gamma_j`` is applied matrix-free: the pair monomial
+    is a signed permutation, so right-multiplying costs O(4^n), not a matmul.
     """
     arr = _as_array(o)
     if arr.shape[0] != 2 * n_modes:
@@ -215,12 +208,25 @@ def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     if n_modes > DENSE_LIMIT:
         raise ValueError(f"dense limit {DENSE_LIMIT} exceeded")
     factors, flip = givens_factors(arr)
-    u = np.eye(2 ** n_modes, dtype=complex)
     if flip:
-        u = dense_matrix(canonical_monomial(n_modes, [2 * n_modes])).astype(complex)
+        u = dense_matrix(canonical_monomial(n_modes, [2 * n_modes]))
+    else:
+        u = np.eye(2 ** n_modes, dtype=complex)
+    # work on rows of u^T so the column permutation is a row gather
+    ut = np.ascontiguousarray(u.T)
+    scratch = np.empty_like(ut)
+    basis = np.arange(2 ** n_modes)
     for i, j, theta in factors:
-        u = u @ _rotation_unitary(i, j, theta, n_modes)
-    return u
+        pair = monomial_product(
+            ScaledMonomial(n_modes, 1 << i, 0), ScaledMonomial(n_modes, 1 << j, 0)
+        )
+        mask, d = monomial_action(pair)
+        # (u @ gamma)[:, b] = u[:, b ^ mask] * d[b]
+        np.take(ut, basis ^ mask, axis=0, out=scratch)
+        scratch *= (math.sin(theta / 2.0) * d)[:, None]
+        ut *= math.cos(theta / 2.0)
+        ut += scratch
+    return np.ascontiguousarray(ut.T)
 
 
 def submatrix_det(o, rows, cols) -> float:

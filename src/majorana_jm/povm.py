@@ -24,6 +24,7 @@ from majorana_jm.algebra import (
     conjugation_sign,
     dense_matrix,
     indices_to_support,
+    monomial_trace,
 )
 from majorana_jm.matching import MeasurementEnsemble, diag_index_sets, scan_minors
 
@@ -204,12 +205,13 @@ def outcome_probabilities(o_arr, state_density: np.ndarray, n_modes: int) -> np.
     _check_oracle_gate(n_modes)
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(o_arr, n_modes)
     weights = np.array([t[2] for t in terms])
-    traces = np.array(
-        [
-            np.real(np.trace(dense_matrix(canonical_monomial(n_modes, cols)) @ state_density))
-            for _, cols, _ in terms
-        ]
-    )
+    # tr(gamma_S rho) from the monomial action, once per distinct support
+    trace_of = {}
+    for _, cols, _ in terms:
+        if cols not in trace_of:
+            g = canonical_monomial(n_modes, cols)
+            trace_of[cols] = np.real(monomial_trace(g, state_density))
+    traces = np.array([trace_of[cols] for _, cols, _ in terms])
     table = 1.0 + (x_signs * (weights * traces)) @ q_signs.T
     return table / 2 ** (3 * n_modes)
 

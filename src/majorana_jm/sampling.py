@@ -5,8 +5,12 @@ state, and measures the n commuting pair observables by exact Born
 probabilities.  Estimators post-process the recorded signs; variance for
 the single-rotation setting follows the two-observable marginal formula.
 
-Basis-outcome signs are always read off the dense observables, never
-assumed (the pair observable maps to -Z under the chosen conventions).
+Monomials are applied matrix-free through their Jordan-Wigner action
+(``algebra.monomial_action``), a signed permutation of the basis, so a shot
+group costs one O(2^n) gather plus one matrix-vector product with the
+compiled rotation.  Basis-outcome signs are read off the diagonal of the
+pair monomials' action, never assumed (the pair observable maps to -Z under
+the chosen conventions).
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import DENSE_LIMIT, canonical_monomial, dense_matrix
+from majorana_jm.algebra import (
+    DENSE_LIMIT,
+    apply_monomial,
+    canonical_monomial,
+    monomial_action,
+    monomial_trace,
+    support_to_indices,
+)
 from majorana_jm.gaussian import compile_gaussian_unitary, submatrix_det
 from majorana_jm.povm import (
     PARENT_ORACLE_LIMIT,
@@ -94,10 +105,10 @@ class FermionicState:
         return self.density_matrix
 
     def expectation(self, subset) -> float:
-        g = dense_matrix(canonical_monomial(self.n_modes, subset))
+        g = canonical_monomial(self.n_modes, subset)
         if self.vector is not None:
-            return float(np.real(self.vector.conj() @ g @ self.vector))
-        return float(np.real(np.trace(g @ self.density_matrix)))
+            return float(np.real(np.vdot(self.vector, apply_monomial(g, self.vector))))
+        return float(np.real(monomial_trace(g, self.density_matrix)))
 
     @classmethod
     def basis_state(cls, n_modes: int, index: int = 0) -> "FermionicState":
@@ -155,22 +166,28 @@ def _pair_sign_table(n_modes: int) -> np.ndarray:
     """diag of the n pair observables on the computational basis, (n, 2^n)."""
     table = np.empty((n_modes, 2 ** n_modes), dtype=np.int8)
     for j in range(n_modes):
-        g = dense_matrix(canonical_monomial(n_modes, [2 * j + 1, 2 * j + 2]))
-        table[j] = np.rint(np.real(np.diag(g))).astype(np.int8)
+        _, d = monomial_action(canonical_monomial(n_modes, [2 * j + 1, 2 * j + 2]))
+        table[j] = np.rint(np.real(d)).astype(np.int8)
     return table
 
 
+def _conjugated_density(conj_mask: int, rho: np.ndarray, n_modes: int) -> np.ndarray:
+    """``gamma_X rho gamma_X^dag`` by one row and one column gather."""
+    gx = canonical_monomial(n_modes, support_to_indices(conj_mask))
+    flip, d = monomial_action(gx)
+    basis = np.arange(len(d)) ^ flip
+    # (gamma rho gamma^dag)[a, b] = d[a^f] rho[a^f, b^f] conj(d[b^f])
+    return (d[:, None] * rho * d.conj())[np.ix_(basis, basis)]
+
+
 def _group_probability(o_unitary, state, conj_mask, n_modes):
-    gx = dense_matrix(
-        canonical_monomial(
-            n_modes, [j + 1 for j in range(2 * n_modes) if (conj_mask >> j) & 1]
-        )
-    )
     if state.is_pure:
-        vec = o_unitary @ (gx @ state.vector)
+        gx = canonical_monomial(n_modes, support_to_indices(conj_mask))
+        vec = o_unitary @ apply_monomial(gx, state.vector)
         probs = np.abs(vec) ** 2
     else:
-        evolved = o_unitary @ gx @ state.density_matrix @ gx.conj().T @ o_unitary.conj().T
+        conjugated = _conjugated_density(conj_mask, state.density_matrix, n_modes)
+        evolved = o_unitary @ conjugated @ o_unitary.conj().T
         probs = np.real(np.diag(evolved))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
@@ -224,17 +241,14 @@ def shot_probability_table(state: FermionicState, parent: ParentPovmSpec):
         raise ValueError("oracle gated to small n")
     rho = state.density()
     n_mat = parent.n_matrices
-    table = np.empty((n_mat, 4 ** n, 2 ** n))
-    # the x-string table is indexed by sign-string bits; re-key it by mask
-    for r, mat in enumerate(parent.ensemble.matrices):
-        by_x = outcome_probabilities(mat.entries, rho, n)
-        for mask in range(4 ** n):
-            signs = x_string_from_subset(mask, n)
-            x_idx = 0
-            for j, s in enumerate(signs):
-                if s < 0:
-                    x_idx |= 1 << j
-            table[r, mask] = by_x[x_idx]
+    # the x-string table is indexed by sign-string bits; re-key it by mask:
+    # x_j = -1 iff |X| - [j in X] is odd, so odd masks map to their complement
+    masks = np.arange(4 ** n)
+    odd = (np.bitwise_count(masks) & 1).astype(bool)
+    x_idx = np.where(odd, masks ^ (4 ** n - 1), masks)
+    table = np.stack(
+        [outcome_probabilities(mat.entries, rho, n)[x_idx] for mat in parent.ensemble.matrices]
+    )
     return table / n_mat
 
 
@@ -349,7 +363,7 @@ def estimate_hamiltonian(
 def exact_expectations(
     state: FermionicState, parent: ParentPovmSpec, targets
 ) -> list[EstimationRecord]:
-    """Analytic estimator expectations from the dense parent (no sampling).
+    """Analytic estimator expectations from the exact outcome table (no sampling).
 
     Enumerates every outcome of every rotation, so it doubles as an
     unbiasedness oracle: the result equals ``tr(gamma_S rho)`` exactly for
@@ -358,28 +372,25 @@ def exact_expectations(
     n = state.n_modes
     table = sharpness_table(parent.ensemble)
     probs = shot_probability_table(state, parent)
-    n_mat = parent.n_matrices
+    masks = np.arange(4 ** n)
+    q_idx = np.arange(2 ** n)
+    pop_x = np.bitwise_count(masks).astype(np.int64)
     records = []
     for subset in targets:
         eta = _effective_sharpness(table, subset)
-        s_mask = 0
-        for v in subset:
-            s_mask |= 1 << (v - 1)
+        s_mask = sum(1 << (v - 1) for v in subset)
         size = len(tuple(subset))
+        pop_int = np.bitwise_count(masks & s_mask).astype(np.int64)
+        x_s = 1.0 - 2.0 * ((size * pop_x - pop_int) % 2)
         total = 0.0
-        for r in range(1, n_mat + 1):
+        for r in range(1, parent.n_matrices + 1):
             rows, det = table.assignment(r, subset)
             if rows is None:
                 continue  # coin: zero mean
             tau = math.copysign(1.0, det)
-            modes = [(v - 1) // 2 for v in rows[::2]]
-            for mask in range(4 ** n):
-                x_s = 1 - 2 * ((size * int(mask).bit_count() - int(mask & s_mask).bit_count()) % 2)
-                for q_idx in range(2 ** n):
-                    q_r = 1
-                    for m in modes:
-                        q_r *= 1 - 2 * ((q_idx >> m) & 1)
-                    total += probs[r - 1, mask, q_idx] * tau * x_s * q_r
+            mode_mask = sum(1 << ((v - 1) // 2) for v in rows[::2])
+            q_r = 1.0 - 2.0 * (np.bitwise_count(q_idx & mode_mask) & 1)
+            total += tau * float(x_s @ probs[r - 1] @ q_r)
         records.append(EstimationRecord(tuple(subset), float(total / eta), 0, 0.0))
     return records
 
@@ -460,8 +471,7 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
     if o[0, 0] * target[0] < 0:
         o[0] = -o[0]
     u = compile_gaussian_unitary(o, n)
-    g1 = dense_matrix(canonical_monomial(n, [1]))
-    rotated = u.conj().T @ g1 @ u
+    rotated = u.conj().T @ apply_monomial(canonical_monomial(n, [1]), u)
     rho = state.density()
     masks = rng.integers(0, 2 ** two_n, size=n_shots, dtype=np.uint64)
     out = np.empty((n_shots, two_n), dtype=np.int8)
@@ -469,11 +479,9 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
     for i, mask in enumerate(masks):
         key = int(mask)
         if key not in means:
-            gx = dense_matrix(
-                canonical_monomial(n, [j + 1 for j in range(two_n) if (key >> j) & 1])
-            )
-            gamma_ox = gx.conj().T @ rotated @ gx
-            means[key] = float(np.real(np.trace(gamma_ox @ rho)))
+            # tr(gamma_X^dag R gamma_X rho) = tr(R gamma_X rho gamma_X^dag)
+            conjugated = _conjugated_density(key, rho, n)
+            means[key] = float(np.real(np.sum(rotated * conjugated.T)))
         p_plus = (1.0 + means[key]) / 2.0
         q = 1 if rng.random() < p_plus else -1
         out[i] = q * x_string_from_subset(key, n)

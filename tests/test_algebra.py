@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from majorana_jm.algebra import (
     BraidElement,
     ScaledMonomial,
+    apply_monomial,
     braid_conjugate,
     braid_stabilizer_unitaries,
     braid_unitary,
@@ -20,8 +21,10 @@ from majorana_jm.algebra import (
     commutation_sign,
     dense_matrix,
     identity_monomial,
+    monomial_action,
     monomial_from_str,
     monomial_product,
+    monomial_trace,
     monomial_to_str,
     pauli_dense,
     subsets_of_size,
@@ -156,6 +159,59 @@ class TestJordanWigner:
     def test_dense_limit(self):
         with pytest.raises(ValueError):
             dense_matrix(canonical_monomial(13, [1]))
+
+
+@st.composite
+def monomials(draw, max_modes=6):
+    n = draw(st.integers(1, max_modes))
+    support = draw(st.integers(0, 4 ** n - 1))
+    return ScaledMonomial(n, support, draw(st.integers(0, 3)))
+
+
+class TestMonomialAction:
+    """The matrix-free action against the Kronecker-product oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=monomials(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_apply_matches_kronecker_exactly(self, m, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** m.n_modes
+        oracle = pauli_dense(to_pauli(m))
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert np.array_equal(apply_monomial(m, v), oracle @ v)
+        block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        assert np.array_equal(apply_monomial(m, block), oracle @ block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=monomials())
+    def test_dense_scatter_matches_kronecker_exactly(self, m):
+        assert np.array_equal(dense_matrix(m), pauli_dense(to_pauli(m)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=monomials(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_trace_matches_dense(self, m, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** m.n_modes
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        expected = np.trace(pauli_dense(to_pauli(m)) @ rho)
+        assert abs(monomial_trace(m, rho) - expected) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=monomials())
+    def test_action_is_signed_permutation(self, m):
+        flip, d = monomial_action(m)
+        assert 0 <= flip < 2 ** m.n_modes
+        assert np.array_equal(np.abs(d), np.ones(2 ** m.n_modes))
+        # all entries share one quarter phase up to sign
+        assert len({complex(v) for v in d * d}) == 1
+
+    def test_dense_matrix_is_uncached(self):
+        m = canonical_monomial(3, [1, 4])
+        first = dense_matrix(m)
+        first[0, 0] = 7.0
+        assert dense_matrix(m)[0, 0] != 7.0
 
 
 class TestBraids:

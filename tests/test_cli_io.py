@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import majorana_jm
 from majorana_jm import io
 from majorana_jm.cli import main
 from majorana_jm.matching import degree2_ensemble
@@ -304,3 +309,44 @@ class TestMixedDegreeHamiltonian:
         assert eta4 >= 0.0
         row = table.row_for((1, 3))
         assert row.eta_s == pytest.approx(0.5, abs=1e-12)
+
+
+# Starts the CLI from a small interpreter and prints that child's exit code
+# and peak RSS (KiB) from os.wait4.  Linux charges a child with the peak of
+# the process it was started from, so the CLI is not started from pytest.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "majorana_jm.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _cli_peak_rss_mb(args, cwd):
+    src = str(Path(majorana_jm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *args],
+        cwd=cwd, env=env, check=True, capture_output=True, text=True,
+    ).stdout.split()
+    code, peak_kib = int(out[-2]), int(out[-1])
+    assert code == 0, f"{args[0]} exited with {code}"
+    return peak_kib / 1024.0
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_simulate_peak_memory(tmp_path):
+    """n=8 simulate holds N compiled unitaries, not thousands of dense monomials."""
+    state = FermionicState.random_pure(8, np.random.default_rng(11))
+    (tmp_path / "state.json").write_text(io.state_to_json(state))
+    _cli_peak_rss_mb(
+        ["construct", "--n", "8", "--k", "2", "--seed", "1", "--out", "ens.zip"], tmp_path
+    )
+    peak = _cli_peak_rss_mb(
+        ["simulate", "--state", "state.json", "--ensemble", "ens.zip",
+         "--shots", "2000", "--seed", "1", "--out", "shots.csv"],
+        tmp_path,
+    )
+    assert peak < 500.0, f"simulate peaked at {peak:.0f} MB"

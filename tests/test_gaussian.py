@@ -4,12 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
+from majorana_jm.algebra import (
+    ScaledMonomial,
+    canonical_monomial,
+    dense_matrix,
+    monomial_product,
+    pauli_dense,
+    subsets_of_size,
+    to_pauli,
+)
 from majorana_jm.gaussian import (
     LowerFlatMatrix,
     OrthogonalMatrix,
     compile_gaussian_unitary,
+    givens_factors,
     lower_flat,
     minor_expansion_check,
     random_orthogonal,
@@ -134,6 +145,39 @@ class TestCompile:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
             compile_gaussian_unitary(np.ones((4, 4)), 2)
+
+
+def dense_factor_product(o, n):
+    """Oracle: the Givens factors ``cos + sin gamma_i gamma_j`` as dense matmuls."""
+    factors, flip = givens_factors(o)
+    last = pauli_dense(to_pauli(canonical_monomial(n, [2 * n])))
+    u = last if flip else np.eye(2 ** n, dtype=complex)
+    for i, j, theta in factors:
+        pair = monomial_product(ScaledMonomial(n, 1 << i, 0), ScaledMonomial(n, 1 << j, 0))
+        gij = pauli_dense(to_pauli(pair))
+        factor = math.cos(theta / 2.0) * np.eye(2 ** n) + math.sin(theta / 2.0) * gij
+        u = u @ factor
+    return u
+
+
+class TestCompileMatrixFree:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2 ** 32 - 1),
+        special=st.sampled_from([True, False, None]),
+    )
+    def test_matches_dense_factor_product(self, n, seed, special):
+        o = random_orthogonal(2 * n, np.random.default_rng(seed), special=special)
+        got = compile_gaussian_unitary(o, n)
+        assert np.max(np.abs(got - dense_factor_product(o.entries, n))) < 1e-12
+
+    def test_structured_rotations_match(self):
+        # permutation-like and Hadamard rotations exercise pi-rotations and zero angles
+        for n in (2, 3, 4):
+            for o in (np.eye(2 * n)[::-1], lower_flat(2 * n).entries):
+                got = compile_gaussian_unitary(o, n)
+                assert np.max(np.abs(got - dense_factor_product(o, n))) < 1e-12
 
 
 class TestSubmatrixDet:

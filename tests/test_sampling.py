@@ -6,10 +6,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from majorana_jm.algebra import subsets_of_size
-from majorana_jm.gaussian import random_orthogonal
+from majorana_jm.algebra import (
+    ScaledMonomial,
+    canonical_monomial,
+    pauli_dense,
+    subsets_of_size,
+    to_pauli,
+)
+from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
 from majorana_jm.matching import custom_ensemble, degree2_ensemble
-from majorana_jm.povm import ParentPovmSpec, sharpness_table
+from majorana_jm.povm import (
+    ParentPovmSpec,
+    outcome_probabilities,
+    sharpness_table,
+    x_string_from_subset,
+)
 from majorana_jm.sampling import (
     EstimationRecord,
     FermionicState,
@@ -25,7 +36,7 @@ from majorana_jm.sampling import (
     simulate_degree1_shots,
     simulate_shots,
 )
-from majorana_jm.sampling import _effective_sharpness, _target_signs
+from majorana_jm.sampling import _effective_sharpness, _group_probability, _target_signs
 
 
 def bin_shots(batch, n, n_matrices):
@@ -103,6 +114,88 @@ class TestShotDistribution:
         assert len(recs) == 3
         assert recs[1].shot_id == 1
         assert set(recs[0].q) <= {1, -1}
+
+
+def kron_dense(n, subset):
+    return pauli_dense(to_pauli(canonical_monomial(n, subset)))
+
+
+def random_mixed(n, rng):
+    a = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return FermionicState(n, density_matrix=rho / np.trace(rho))
+
+
+def two_matrix_parent(n, rng):
+    mats = [random_orthogonal(2 * n, rng).entries for _ in range(2)]
+    return ParentPovmSpec(custom_ensemble(n, 1, mats))
+
+
+class TestMatrixFreeAgainstDense:
+    """Monomial actions in the sampler against Kronecker-product oracles."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_expectation(self, pure):
+        rng = np.random.default_rng(21)
+        n = 3
+        state = FermionicState.random_pure(n, rng) if pure else random_mixed(n, rng)
+        rho = state.density()
+        for size in (1, 2, 3, 4):
+            for subset in subsets_of_size(2 * n, size)[::3]:
+                expected = np.real(np.trace(kron_dense(n, subset) @ rho))
+                assert state.expectation(subset) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_group_probability(self, pure):
+        rng = np.random.default_rng(22)
+        n = 3
+        state = FermionicState.random_pure(n, rng) if pure else random_mixed(n, rng)
+        u = compile_gaussian_unitary(random_orthogonal(2 * n, rng), n)
+        for mask in range(0, 4 ** n, 5):
+            gx = pauli_dense(to_pauli(ScaledMonomial(n, mask, math.comb(mask.bit_count(), 2))))
+            evolved = u @ gx @ state.density() @ gx.conj().T @ u.conj().T
+            expected = np.real(np.diag(evolved))
+            got = _group_probability(u, state, mask, n)
+            assert np.max(np.abs(got - expected / expected.sum())) < 1e-12
+
+    def test_probability_table_rekeys_by_x_string(self):
+        rng = np.random.default_rng(23)
+        n = 3
+        state = FermionicState.random_pure(n, rng)
+        parent = two_matrix_parent(n, rng)
+        table = shot_probability_table(state, parent)
+        for r, mat in enumerate(parent.ensemble.matrices):
+            by_x = outcome_probabilities(mat.entries, state.density(), n)
+            for mask in range(4 ** n):
+                bits = x_string_from_subset(mask, n) < 0
+                x_idx = sum(1 << j for j, neg in enumerate(bits) if neg)
+                assert np.array_equal(table[r, mask], by_x[x_idx] / 2)
+
+    def test_exact_expectations_match_outcome_sum(self):
+        # the literal sum over (r, mask, q) of tau * x_S * q_R * p(r, mask, q)
+        rng = np.random.default_rng(24)
+        n = 3
+        state = FermionicState.random_pure(n, rng)
+        parent = two_matrix_parent(n, rng)
+        table = sharpness_table(parent.ensemble)
+        probs = shot_probability_table(state, parent)
+        targets = subsets_of_size(2 * n, 2)[::2] + subsets_of_size(2 * n, 4)[::3]
+        for rec in exact_expectations(state, parent, targets):
+            subset = rec.target
+            s_mask = sum(1 << (v - 1) for v in subset)
+            total = 0.0
+            for r in range(1, parent.n_matrices + 1):
+                rows, det = table.assignment(r, subset)
+                if rows is None:
+                    continue
+                modes = [(v - 1) // 2 for v in rows[::2]]
+                for mask in range(4 ** n):
+                    x_s = (-1) ** (len(subset) * mask.bit_count() - (mask & s_mask).bit_count())
+                    for q_idx in range(2 ** n):
+                        q_r = math.prod(1 - 2 * ((q_idx >> m) & 1) for m in modes)
+                        total += probs[r - 1, mask, q_idx] * math.copysign(1.0, det) * x_s * q_r
+            expected = total / table.mean_sharpness(subset)
+            assert rec.estimate == pytest.approx(expected, abs=1e-12)
 
 
 class TestEstimators:
