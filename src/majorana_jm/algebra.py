@@ -40,7 +40,6 @@ __all__ = [
     "identity_monomial",
     "monomial_product",
     "commutation_sign",
-    "conjugation_sign",
     "to_pauli",
     "pauli_dense",
     "monomial_action",
@@ -214,12 +213,6 @@ def _mask_of(indices) -> int:
             raise ValueError("indices are 1-based")
         mask |= 1 << (j - 1)
     return mask
-
-
-def conjugation_sign(conj_mask: int, support: int) -> int:
-    """Sign ``x_S`` of ``gamma_X^dag gamma_S gamma_X`` for bitmasks X, S."""
-    exponent = conj_mask.bit_count() * support.bit_count() - (conj_mask & support).bit_count()
-    return -1 if exponent % 2 else 1
 
 
 @dataclass(frozen=True)

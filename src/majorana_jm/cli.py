@@ -23,7 +23,6 @@ EXIT_UNCOVERED = 5
 
 def _common(parser):
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=None, help="JSON file with defaults")
 
@@ -101,13 +100,6 @@ def _require_seed(args):
         raise ValueError("--seed is mandatory for stochastic commands")
 
 
-def _threads(args) -> int:
-    t = args.threads if args.threads else 1
-    if t < 1:
-        raise ValueError("--threads must be >= 1")
-    return t
-
-
 def _cmd_construct(args):
     from majorana_jm import io
     from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
@@ -143,11 +135,10 @@ def _cmd_construct(args):
 
 def _cmd_validate(args):
     from majorana_jm import io
-    from majorana_jm.matching import ensemble_coverage
     from majorana_jm.povm import parent_validate
 
     ensemble = io.read_ensemble_archive(args.ensemble)
-    coverage = ensemble_coverage(ensemble)
+    coverage = ensemble.coverage
     payload = {
         "n": ensemble.n_modes,
         "k": ensemble.degree_k,
@@ -327,7 +318,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
-        _threads(args)
         return _HANDLERS[args.command](args)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

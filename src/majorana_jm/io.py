@@ -100,7 +100,7 @@ def sharpness_csv(table) -> str:
                 "[" + ",".join(map(str, row.subset)) + "]",
                 row.r,
                 "[" + ",".join(map(str, row.rows)) + "]",
-                format(row.eta_rs, ".17g"),
+                format(row.eta_s, ".17g"),  # eta_RS: the best (r, R) minor is eta_S
                 format(row.eta_s, ".17g"),
                 format(row.eta_effective, ".17g"),
             ]

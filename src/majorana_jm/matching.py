@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "CoverageReport",
     "CoverageError",
     "COVERAGE_TOL",
+    "MinorTable",
     "turan_side",
     "build_partition",
     "sparse_matching",
@@ -45,7 +47,7 @@ __all__ = [
     "degree2_ensemble",
     "degree2k_ensemble",
     "custom_ensemble",
-    "ensemble_coverage",
+    "minor_dets",
     "scan_minors",
     "partition_failure_prob",
     "random_partition",
@@ -291,6 +293,73 @@ def diag_index_sets(n_modes: int, half_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Signed ``det(arr[R, S])`` for the 0-based index sets ``R`` in ``rows``, ``S`` in ``cols``.
+
+    One row set at a time, so only ``len(cols)`` small matrices are held at once.
+    """
+    out = np.empty((len(rows), len(cols)))
+    for i, r in enumerate(rows):
+        out[i] = np.linalg.det(arr[r[None, :, None], cols[:, None, :]])
+    return out
+
+
+class MinorTable:
+    """Every minor ``det(O_{R,S})`` of an ensemble at one degree.
+
+    ``dets[r, i, j]`` is the signed minor of matrix ``r`` (0-based) on the
+    diagonal row set ``row_sets[i]`` and the support ``supports[j]``, so the
+    table holds ``N C(n,k) C(2n,2k)`` floats.  Coverage and sharpness are
+    reductions of this one array; :func:`scan_minors` builds it.
+    """
+
+    def __init__(self, half_degree: int, supports, row_sets, dets: np.ndarray):
+        self.half_degree = half_degree
+        self.supports = supports
+        self.row_sets = row_sets
+        self.dets = dets
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {s: j for j, s in enumerate(self.supports)}
+
+    @cached_property
+    def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best ``(eta, r, rows index)`` per support over the whole ensemble.
+
+        Candidates are visited in ``(r, R)`` order and replace the running
+        best only when larger by more than ``COVERAGE_TOL``, so near-ties go
+        to the lexicographically smallest ``(r, R)``.  Uncovered supports keep
+        ``eta = 0`` and index ``-1``.
+        """
+        n_s = len(self.supports)
+        eta = np.zeros(n_s)
+        best_r = np.full(n_s, -1, dtype=np.int64)
+        best_rows = np.full(n_s, -1, dtype=np.int64)
+        for r, dets in enumerate(self.dets):
+            for i, minors in enumerate(np.abs(dets)):
+                better = minors > eta + COVERAGE_TOL
+                eta[better] = minors[better]
+                best_r[better] = r
+                best_rows[better] = i
+        return eta, best_r, best_rows
+
+    @cached_property
+    def per_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Best rows index and its signed minor per matrix and support, ``(N, nS)`` each.
+
+        Each matrix maximizes ``|det|`` rounded to 12 decimals over the row
+        sets, the first row set winning ties.
+        """
+        columns = np.arange(len(self.supports))
+        best = np.empty((len(self.dets), len(columns)), dtype=np.int64)
+        vals = np.empty(best.shape)
+        for r, dets in enumerate(self.dets):
+            best[r] = np.argmax(np.abs(np.round(dets, 12)), axis=0)
+            vals[r] = dets[best[r], columns]
+        return best, vals
+
+
 @dataclass(frozen=True)
 class CoverageRow:
     subset: tuple[int, ...]
@@ -298,13 +367,37 @@ class CoverageRow:
     rows: tuple[int, ...] | None
     eta: float
     path: str = "monomial"
-    bound: float | None = None
 
 
-@dataclass(frozen=True)
 class CoverageReport:
-    degree: int
-    rows: tuple[CoverageRow, ...]
+    """Per-support best minor of an ensemble, with uncovered supports flagged.
+
+    A view of the ensemble's :class:`MinorTable`: each row is the table's
+    global best ``(r, R)``, and supports listed in ``within_pairs`` take the
+    ``same-subset`` path.
+    """
+
+    def __init__(self, table: MinorTable, within_pairs=()):
+        self.table = table
+        self.degree = 2 * table.half_degree
+        within = {frozenset(p) for p in within_pairs}
+        eta, r_idx, rows_idx = table.best
+        rows = []
+        for s_i, subset in enumerate(table.supports):
+            if eta[s_i] <= COVERAGE_TOL:
+                rows.append(CoverageRow(subset, None, None, 0.0))
+                continue
+            path = "same-subset" if frozenset(subset) in within else "monomial"
+            rows.append(
+                CoverageRow(
+                    subset,
+                    int(r_idx[s_i]) + 1,
+                    table.row_sets[int(rows_idx[s_i])],
+                    float(eta[s_i]),
+                    path,
+                )
+            )
+        self.rows = tuple(rows)
 
     @property
     def uncovered(self) -> tuple[tuple[int, ...], ...]:
@@ -315,11 +408,7 @@ class CoverageReport:
         return min((row.eta for row in self.rows), default=0.0)
 
     def row_for(self, subset) -> CoverageRow:
-        key = tuple(subset)
-        for row in self.rows:
-            if row.subset == key:
-                return row
-        raise KeyError(key)
+        return self.rows[self.table.index[tuple(subset)]]
 
 
 @dataclass(frozen=True)
@@ -465,7 +554,7 @@ def degree2_ensemble(n_modes: int) -> MeasurementEnsemble:
         block_min_entry=min_entry,
         within_pairs=within,
     )
-    coverage = ensemble_coverage(ensemble)
+    coverage = CoverageReport(scan_minors(ensemble.arrays(), n_modes, 1), within)
     _certify_degree2(coverage, blocks, partition, within, ensemble.sigmas[-1])
     return dataclasses.replace(ensemble, coverage=coverage)
 
@@ -497,73 +586,16 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
             )
 
 
-def scan_minors(arrays, n_modes: int, half_degree: int, threads: int = 1):
-    """Best minor per size-2k support over matrices and diagonal row sets.
-
-    Returns ``(supports, rows_sets, best_eta, best_r, best_rows_index)``
-    where the argmax is lexicographically smallest in ``(r, rows)`` on ties.
-    With ``threads > 1`` the supports are scanned in parallel chunks; the
-    max-reduction is order-independent, so results match the serial scan.
-    """
+def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
+    """The :class:`MinorTable` of ``arrays`` over every size-2k support."""
     supports = list(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
     row_sets = diag_index_sets(n_modes, half_degree)
     cols = np.array(supports, dtype=np.int64) - 1  # (nS, 2k)
     rows = np.array(row_sets, dtype=np.int64) - 1  # (nR, 2k)
-    n_s, n_r = len(supports), len(row_sets)
-
-    def scan_chunk(sel):
-        chunk_cols = cols[sel]
-        eta = np.zeros(len(sel))
-        best_r = np.full(len(sel), -1, dtype=np.int64)
-        best_rows = np.full(len(sel), -1, dtype=np.int64)
-        for r, arr in enumerate(arrays):
-            # minors[i, j] = |det arr[rows_i, cols_j]| over both axes at once
-            sub = arr[rows[:, None, :, None], chunk_cols[None, :, None, :]]
-            minors = np.abs(np.linalg.det(sub))
-            for i in range(n_r):
-                better = minors[i] > eta + COVERAGE_TOL
-                eta[better] = minors[i][better]
-                best_r[better] = r
-                best_rows[better] = i
-        return eta, best_r, best_rows
-
-    if threads <= 1 or n_s < 2 * threads:
-        best_eta, best_r, best_rows = scan_chunk(np.arange(n_s))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(n_s), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan_chunk, chunks))
-        best_eta = np.concatenate([p[0] for p in parts])
-        best_r = np.concatenate([p[1] for p in parts])
-        best_rows = np.concatenate([p[2] for p in parts])
-    return supports, row_sets, best_eta, best_r, best_rows
-
-
-def ensemble_coverage(ensemble: MeasurementEnsemble) -> CoverageReport:
-    """Per-support best minor of an ensemble, with uncovered supports flagged."""
-    arrays = ensemble.arrays()
-    supports, row_sets, eta, r_idx, rows_idx = scan_minors(
-        arrays, ensemble.n_modes, ensemble.degree_k
-    )
-    within = {frozenset(p) for p in ensemble.within_pairs}
-    rows = []
-    for s_i, subset in enumerate(supports):
-        if eta[s_i] <= COVERAGE_TOL:
-            rows.append(CoverageRow(subset, None, None, 0.0))
-            continue
-        path = "same-subset" if frozenset(subset) in within else "monomial"
-        rows.append(
-            CoverageRow(
-                subset,
-                int(r_idx[s_i]) + 1,
-                row_sets[int(rows_idx[s_i])],
-                float(eta[s_i]),
-                path,
-            )
-        )
-    return CoverageReport(2 * ensemble.degree_k, tuple(rows))
+    dets = np.empty((len(arrays), len(row_sets), len(supports)))
+    for r, arr in enumerate(arrays):
+        dets[r] = minor_dets(arr, rows, cols)
+    return MinorTable(half_degree, supports, row_sets, dets)
 
 
 def is_generated(subset, partition_blocks) -> bool:
@@ -604,23 +636,24 @@ def degree2k_ensemble(
     two_n = 2 * n_modes
     threshold = min_entry ** (2 * half_degree)
 
-    def covered_mask(sigma: np.ndarray) -> np.ndarray:
+    def scan(sigma: np.ndarray) -> MinorTable:
+        return scan_minors([o1 @ permutation_matrix(sigma)], n_modes, half_degree)
+
+    def covered(table: MinorTable) -> np.ndarray:
         # supports whose best minor under this rotation meets the sharpness bound
-        rotated = o1 @ permutation_matrix(sigma)
-        _, _, eta, _, _ = scan_minors([rotated], n_modes, half_degree)
-        return eta >= threshold - 1e-12
+        return table.best[0] >= threshold - 1e-12
 
     sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
-    masks = [covered_mask(s) for s in sigmas]
+    tables = [scan(s) for s in sigmas]
     retries = 0
-    while not np.any(np.vstack(masks), axis=0).all():
+    while not np.any([covered(t) for t in tables], axis=0).all():
         if retries >= max_retries:
             raise CoverageError(
                 f"coverage not achieved within {max_retries} resamples"
             )
-        weakest = int(np.argmin([m.sum() for m in masks]))
+        weakest = int(np.argmin([covered(t).sum() for t in tables]))
         sigmas[weakest] = rng.permutation(two_n)
-        masks[weakest] = covered_mask(sigmas[weakest])
+        tables[weakest] = scan(sigmas[weakest])
         retries += 1
     matrices = tuple(
         OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas
@@ -638,7 +671,11 @@ def degree2k_ensemble(
         block_min_entry=min_entry,
         within_pairs=within,
     )
-    coverage = ensemble_coverage(ensemble)
+    # the kept candidates' minors stack into the ensemble's table: no rescan
+    dets = np.concatenate([t.dets for t in tables])
+    coverage = CoverageReport(
+        MinorTable(half_degree, tables[0].supports, tables[0].row_sets, dets), within
+    )
     if coverage.uncovered:
         raise CoverageError(f"uncovered supports remain: {coverage.uncovered[:5]}")
     if coverage.min_eta < threshold - 1e-12:
@@ -660,10 +697,10 @@ def custom_ensemble(
         m if isinstance(m, OrthogonalMatrix) else OrthogonalMatrix(np.asarray(m, dtype=float))
         for m in matrices
     )
-    ensemble = MeasurementEnsemble(
-        n_modes=n_modes, degree_k=half_degree, matrices=mats, seed=seed
+    coverage = CoverageReport(scan_minors([m.entries for m in mats], n_modes, half_degree))
+    return MeasurementEnsemble(
+        n_modes=n_modes, degree_k=half_degree, matrices=mats, seed=seed, coverage=coverage
     )
-    return dataclasses.replace(ensemble, coverage=ensemble_coverage(ensemble))
 
 
 def partition_failure_prob(side: int, half_degree: int) -> float:

@@ -21,12 +21,18 @@ import numpy as np
 
 from majorana_jm.algebra import (
     canonical_monomial,
-    conjugation_sign,
+    commutation_sign,
     dense_matrix,
     indices_to_support,
     monomial_trace,
 )
-from majorana_jm.matching import MeasurementEnsemble, diag_index_sets, scan_minors
+from majorana_jm.matching import (
+    MeasurementEnsemble,
+    MinorTable,
+    diag_index_sets,
+    minor_dets,
+    scan_minors,
+)
 
 __all__ = [
     "PARENT_ORACLE_LIMIT",
@@ -79,7 +85,7 @@ def x_string_from_subset(mask: int, n_modes: int) -> np.ndarray:
     """Sign string of conjugation by the monomial with support ``mask``."""
     signs = np.empty(2 * n_modes, dtype=np.int8)
     for j in range(2 * n_modes):
-        signs[j] = conjugation_sign(mask, 1 << j)
+        signs[j] = commutation_sign(mask, 1 << j)
     return signs
 
 
@@ -106,28 +112,19 @@ def minor_terms(o_arr: np.ndarray, n_modes: int):
     """All nonzero minors ``det(O_{R,S})`` over diagonal R and every even S.
 
     Returns a list of ``(R, S, value)`` with 1-based index tuples, for
-    ``|R| = |S| = 2k`` and every ``k = 1..n``; results are cached per matrix.
+    ``|R| = |S| = 2k`` and every ``k = 1..n``, ordered by ``k`` and then
+    row-major over ``(R, S)``.
     """
-    key = (o_arr.tobytes(), n_modes)
-    if key not in _TERMS_CACHE:
-        terms = []
-        for half in range(1, n_modes + 1):
-            rows_sets = _diag_sets_cached(n_modes, half)
-            cols_sets = list(
-                itertools.combinations(range(1, 2 * n_modes + 1), 2 * half)
-            )
-            rows = np.array(rows_sets, dtype=np.int64) - 1
-            cols = np.array(cols_sets, dtype=np.int64) - 1
-            sub = o_arr[rows[:, None, :, None], cols[None, :, None, :]]
-            dets = np.linalg.det(sub)
-            for i, j in np.argwhere(np.abs(dets) > 1e-14):
-                terms.append((rows_sets[i], cols_sets[j], float(dets[i, j])))
-        _TERMS_CACHE[key] = terms
-    return _TERMS_CACHE[key]
-
-
-_TERMS_CACHE: dict = {}
-_terms_for = minor_terms
+    terms = []
+    for half in range(1, n_modes + 1):
+        rows_sets = _diag_sets_cached(n_modes, half)
+        cols_sets = list(
+            itertools.combinations(range(1, 2 * n_modes + 1), 2 * half)
+        )
+        dets = minor_dets(o_arr, np.array(rows_sets) - 1, np.array(cols_sets) - 1)
+        for i, j in np.argwhere(np.abs(dets) > 1e-14):
+            terms.append((rows_sets[i], cols_sets[j], float(dets[i, j])))
+    return terms
 
 
 def _check_oracle_gate(n_modes: int):
@@ -151,16 +148,16 @@ def parent_effect(o_arr, q, conj_subset, n_modes: int) -> np.ndarray:
     q = np.asarray(q, dtype=np.int64)
     dim = 2 ** n_modes
     acc = np.eye(dim, dtype=complex)
-    for rows, cols, det in _terms_for(arr, n_modes):
+    for rows, cols, det in minor_terms(arr, n_modes):
         q_r = int(np.prod(q[[(v - 1) // 2 for v in rows[::2]]]))
-        x_s = conjugation_sign(mask, indices_to_support(cols, n_modes))
+        x_s = commutation_sign(mask, indices_to_support(cols, n_modes))
         acc = acc + (q_r * x_s * det) * dense_matrix(canonical_monomial(n_modes, cols))
     return acc / 2 ** (3 * n_modes)
 
 
 def _sign_grids(o_arr, n_modes):
     """Per-term outcome sign tables over the q-grid and the x-grid."""
-    terms = _terms_for(np.asarray(o_arr, dtype=float), n_modes)
+    terms = minor_terms(np.asarray(o_arr, dtype=float), n_modes)
     n = n_modes
     q_grid = np.array(
         [[1 - 2 * ((idx >> j) & 1) for j in range(n)] for idx in range(2 ** n)],
@@ -274,7 +271,6 @@ class SharpnessRow:
     subset: tuple[int, ...]
     r: int  # 1-based matrix index of the best minor
     rows: tuple[int, ...]
-    eta_rs: float
     eta_s: float
     eta_effective: float  # eta_s / N, the worst-case randomization discount
 
@@ -282,13 +278,14 @@ class SharpnessRow:
 class SharpnessTable:
     """Per-observable sharpness bookkeeping for an ensemble.
 
-    ``rows`` carry the best (r, R) per observable of the ensemble's primary
-    degree with the lexicographic tie-break; per-matrix assignments (best R
-    and signed minor for every matrix separately) drive the estimators.
-    Other even degrees are scanned lazily on first access, so mixed-degree
-    Hamiltonians share one table.  ``eta_effective`` divides by the number
-    of matrices; ``mean_sharpness`` gives the exact sharpness of the
-    uniformly randomized parent, which is at least as large.
+    A view of the ensemble's :class:`MinorTable`: ``rows`` carry the table's
+    best (r, R) per observable of the primary degree with the lexicographic
+    tie-break; per-matrix assignments (best R and signed minor for every
+    matrix separately) drive the estimators.  Other even degrees are scanned
+    lazily on first access, so mixed-degree Hamiltonians share one table.
+    ``eta_effective`` divides by the number of matrices; ``mean_sharpness``
+    gives the exact sharpness of the uniformly randomized parent, which is
+    at least as large.
     """
 
     def __init__(self, ensemble: MeasurementEnsemble):
@@ -296,97 +293,67 @@ class SharpnessTable:
         self.degree_k = ensemble.degree_k
         self.n_matrices = ensemble.n_matrices
         self._arrays = ensemble.arrays()
-        self._by_degree: dict[int, dict] = {}
-        self._build(ensemble.degree_k)
+        self._tables: dict[int, MinorTable] = {}
+        if ensemble.coverage is not None:
+            self._tables[self.degree_k] = ensemble.coverage.table
+        self._table(self.degree_k)
 
-    def _build(self, half: int):
-        if half in self._by_degree:
-            return self._by_degree[half]
+    def _table(self, half: int) -> MinorTable:
         if not 1 <= half <= self.n_modes:
             raise ValueError(f"no degree-{2 * half} observables on {self.n_modes} modes")
-        supports, row_sets, eta, r_idx, rows_idx = scan_minors(
-            self._arrays, self.n_modes, half
-        )
-        supports = [tuple(s) for s in supports]
-        n_s = len(supports)
-        pm_eta = np.zeros((self.n_matrices, n_s))
-        pm_det = np.zeros((self.n_matrices, n_s))
-        pm_rows: list[list[tuple[int, ...] | None]] = []
-        rows_arr = np.array(row_sets, dtype=np.int64) - 1
-        cols_arr = np.array(supports, dtype=np.int64) - 1
-        for r, arr in enumerate(self._arrays):
-            sub = arr[rows_arr[:, None, :, None], cols_arr[None, :, None, :]]
-            dets = np.linalg.det(sub)
-            best = np.argmax(np.abs(np.round(dets, 12)), axis=0)
-            vals = dets[best, np.arange(n_s)]
-            pm_eta[r] = np.abs(vals)
-            pm_det[r] = vals
-            pm_rows.append(
-                [
-                    row_sets[int(b)] if abs(v) > 1e-12 else None
-                    for b, v in zip(best, vals)
-                ]
-            )
-        rows = []
-        for i, s in enumerate(supports):
-            r_best = int(r_idx[i])
-            rows.append(
-                SharpnessRow(
-                    subset=s,
-                    r=r_best + 1,
-                    rows=row_sets[int(rows_idx[i])] if r_best >= 0 else (),
-                    eta_rs=float(eta[i]),
-                    eta_s=float(eta[i]),
-                    eta_effective=float(eta[i]) / self.n_matrices,
-                )
-            )
-        data = {
-            "supports": supports,
-            "index": {s: i for i, s in enumerate(supports)},
-            "pm_eta": pm_eta,
-            "pm_det": pm_det,
-            "pm_rows": pm_rows,
-            "rows": rows,
-        }
-        self._by_degree[half] = data
-        return data
+        if half not in self._tables:
+            self._tables[half] = scan_minors(self._arrays, self.n_modes, half)
+        return self._tables[half]
 
     def _locate(self, subset):
         key = tuple(sorted(subset))
         if len(key) % 2 or not key:
             raise KeyError(f"not an even-degree support: {key}")
-        data = self._build(len(key) // 2)
-        return data, data["index"][key]
+        table = self._table(len(key) // 2)
+        return table, table.index[key]
+
+    def _row(self, table: MinorTable, i: int) -> SharpnessRow:
+        eta, r_idx, rows_idx = table.best
+        r_best = int(r_idx[i])
+        return SharpnessRow(
+            subset=table.supports[i],
+            r=r_best + 1,
+            rows=table.row_sets[int(rows_idx[i])] if r_best >= 0 else (),
+            eta_s=float(eta[i]),
+            eta_effective=float(eta[i]) / self.n_matrices,
+        )
 
     @property
     def supports(self) -> list[tuple[int, ...]]:
-        return self._by_degree[self.degree_k]["supports"]
+        return self._table(self.degree_k).supports
 
     @property
     def rows(self) -> list[SharpnessRow]:
-        return self._by_degree[self.degree_k]["rows"]
+        table = self._table(self.degree_k)
+        return [self._row(table, i) for i in range(len(table.supports))]
 
     def row_for(self, subset) -> SharpnessRow:
-        data, i = self._locate(subset)
-        return data["rows"][i]
+        return self._row(*self._locate(subset))
 
     def mean_sharpness(self, subset) -> float:
         """Sharpness of the uniformly randomized parent for this observable."""
-        data, i = self._locate(subset)
-        return float(data["pm_eta"][:, i].mean())
+        table, i = self._locate(subset)
+        return float(np.abs(table.per_matrix[1][:, i]).mean())
 
     def assignment(self, r: int, subset):
         """Best rows and signed minor of matrix ``r`` (1-based) for a subset."""
-        data, i = self._locate(subset)
-        return data["pm_rows"][r - 1][i], float(data["pm_det"][r - 1, i])
+        table, i = self._locate(subset)
+        best, vals = table.per_matrix
+        det = float(vals[r - 1, i])
+        return (table.row_sets[int(best[r - 1, i])] if abs(det) > 1e-12 else None), det
 
     @property
     def min_sharpness(self) -> float:
-        return min(row.eta_s for row in self.rows)
+        return float(self._table(self.degree_k).best[0].min())
 
     @property
     def min_mean_sharpness(self) -> float:
-        return float(self._by_degree[self.degree_k]["pm_eta"].mean(axis=0).min())
+        return float(np.abs(self._table(self.degree_k).per_matrix[1]).mean(axis=0).min())
 
 
 def sharpness_table(spec: ParentPovmSpec | MeasurementEnsemble) -> SharpnessTable:
@@ -453,7 +420,7 @@ def parent_validate(o_arr, n_modes: int, marginal_checks: int = 3, rng=None):
     report = povm_validate(flat)
     worst_marginal = 0.0
     rng = rng or np.random.default_rng(0)
-    terms = _terms_for(arr, n_modes)
+    terms = minor_terms(arr, n_modes)
     candidates = [t for t in terms if abs(t[2]) > 1e-12] or terms
     for _ in range(marginal_checks):
         rows, cols, det = candidates[int(rng.integers(0, len(candidates)))]

@@ -155,12 +155,6 @@ class ShotBatch:
                 i, int(self.r[i]), int(self.conj_mask[i]), tuple(int(v) for v in self.q[i])
             )
 
-    def x_strings(self) -> np.ndarray:
-        """Sign-string view of the conjugation outcomes, shape (L, 2n)."""
-        return np.stack(
-            [x_string_from_subset(int(m), self.n_modes) for m in self.conj_mask]
-        )
-
 
 def _pair_sign_table(n_modes: int) -> np.ndarray:
     """diag of the n pair observables on the computational basis, (n, 2^n)."""
@@ -276,6 +270,15 @@ def _target_signs(batch: ShotBatch, table: SharpnessTable, subset):
     return out
 
 
+def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng) -> np.ndarray:
+    """Per-shot signs for one target, uncovered shots filled by fair coins from ``rng``."""
+    signs = _target_signs(batch, table, subset)
+    holes = np.isnan(signs)
+    if holes.any():
+        signs[holes] = rng.choice((-1.0, 1.0), size=int(holes.sum()))
+    return signs
+
+
 @dataclass(frozen=True)
 class EstimationRecord:
     target: object
@@ -309,10 +312,7 @@ def estimate_expectations(
     records = []
     for subset in targets:
         eta = _effective_sharpness(table, subset)
-        signs = _target_signs(batch, table, subset)
-        holes = np.isnan(signs)
-        if holes.any():
-            signs[holes] = rng.choice((-1.0, 1.0), size=int(holes.sum()))
+        signs = _filled_signs(batch, table, subset, rng)
         est = float(signs.mean() / eta)
         stderr = float(signs.std(ddof=1) / math.sqrt(len(signs)) / eta)
         records.append(EstimationRecord(tuple(subset), est, len(signs), stderr))
@@ -350,11 +350,7 @@ def estimate_hamiltonian(
     per_shot = np.zeros(len(batch.r))
     for subset, coeff in ham.terms:
         eta = _effective_sharpness(table, subset)
-        signs = _target_signs(batch, table, subset)
-        holes = np.isnan(signs)
-        if holes.any():
-            signs[holes] = rng.choice((-1.0, 1.0), size=int(holes.sum()))
-        per_shot += coeff * signs / eta
+        per_shot += coeff * _filled_signs(batch, table, subset, rng) / eta
     est = float(per_shot.mean())
     stderr = float(per_shot.std(ddof=1) / math.sqrt(len(per_shot)))
     return EstimationRecord("hamiltonian", est, len(per_shot), stderr)
@@ -408,13 +404,14 @@ def predicted_variance(
     """
     arr = np.asarray(o_arr, dtype=float)
     n = state.n_modes
-    if assignment is None:
+    if assignment is None and ham.terms:
         from majorana_jm.matching import custom_ensemble
 
+        # one single-rotation table; its lazy degrees serve every term
+        half = len(ham.terms[0][0]) // 2
+        tab = sharpness_table(custom_ensemble(n, half, [arr]))
         pairs = {}
         for subset, _ in ham.terms:
-            half = len(subset) // 2
-            tab = sharpness_table(custom_ensemble(n, half, [arr]))
             rows, det = tab.assignment(1, subset)
             if rows is None:
                 raise UncoveredTargetError(f"term {subset} has zero sharpness")

@@ -292,12 +292,27 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert rep["status"] == "budget-exceeded"
 
-    def test_threads_flag_does_not_change_results(self, tmp_path, capsys):
-        outs = []
-        for threads in ("1", "3"):
-            assert self.run("robustness", "--n", "2", "--k", "2", "--threads", threads) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+    def test_each_command_scans_minors_once(self, tmp_path, monkeypatch, capsys):
+        from majorana_jm import matching, povm
+
+        calls = []
+        scan_minors = matching.scan_minors
+
+        def counted(arrays, n_modes, half_degree):
+            calls.append(len(arrays))
+            return scan_minors(arrays, n_modes, half_degree)
+
+        monkeypatch.setattr(matching, "scan_minors", counted)
+        monkeypatch.setattr(povm, "scan_minors", counted)
+        archive = str(tmp_path / "ens.zip")
+        assert self.run("construct", "--n", "6", "--k", "2", "--seed", "7", "--out", archive) == 0
+        info = json.loads(capsys.readouterr().out)
+        # one single-matrix scan per candidate rotation, none for the final certificate
+        assert calls == [1] * (info["n_matrices"] + info["retries"])
+        for command in ("validate", "sharpness"):
+            calls.clear()
+            assert self.run(command, "--ensemble", archive, "--out", str(tmp_path / command)) == 0
+            assert calls == [info["n_matrices"]]
 
 
 class TestMixedDegreeHamiltonian:

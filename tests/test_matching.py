@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from majorana_jm.gaussian import lower_flat, submatrix_det
+from majorana_jm.gaussian import lower_flat, random_orthogonal, submatrix_det
 from majorana_jm.matching import (
+    COVERAGE_TOL,
     CoverageError,
     build_partition,
     degree2_ensemble,
     degree2k_ensemble,
     diag_index_sets,
-    ensemble_coverage,
     is_generated,
     partition_failure_prob,
     permutation_cycles,
@@ -119,8 +121,8 @@ class TestDegree2Ensemble:
 
     def test_n3_single_matrix_misses_same_pair_observables(self):
         ens = degree2_ensemble(3)
-        sup, _, eta, _, _ = scan_minors([ens.matrices[0].entries], 3, 1)
-        uncovered = [s for s, e in zip(sup, eta) if e < 1e-12]
+        table = scan_minors([ens.matrices[0].entries], 3, 1)
+        uncovered = [s for s, e in zip(table.supports, table.best[0]) if e < 1e-12]
         assert uncovered == [(1, 2), (3, 4), (5, 6)]
 
     def test_n1_single_matrix(self):
@@ -186,16 +188,93 @@ class TestDegree2kEnsemble:
 
 class TestCoverageReport:
     def test_identity_ensemble_covers_exactly_diag(self):
-        sup, _, eta, _, _ = scan_minors([np.eye(6)], 3, 1)
-        covered = {s for s, e in zip(sup, eta) if e > 1e-12}
+        table = scan_minors([np.eye(6)], 3, 1)
+        covered = {s for s, e in zip(table.supports, table.best[0]) if e > 1e-12}
         assert covered == set(diag_index_sets(3, 1))
 
     def test_tie_break_is_lexicographic(self):
         # two identical matrices: ties resolve to the first matrix, smallest rows
         ens = degree2_ensemble(3)
         arrays = [ens.matrices[0].entries, ens.matrices[0].entries.copy()]
-        _, row_sets, eta, r_idx, rows_idx = scan_minors(arrays, 3, 1)
+        eta, r_idx, _ = scan_minors(arrays, 3, 1).best
         assert np.all(r_idx[eta > 1e-12] == 0)
+
+
+def _loop_reductions(dets):
+    """Plain-loop oracle of the coverage chain and the per-matrix argmax."""
+    n_mat, n_r, n_s = dets.shape
+    eta = np.zeros(n_s)
+    best_r = np.full(n_s, -1)
+    best_rows = np.full(n_s, -1)
+    pm_best = np.zeros((n_mat, n_s), dtype=np.int64)
+    for j in range(n_s):
+        for r in range(n_mat):
+            top = -1.0
+            for i in range(n_r):
+                if abs(dets[r, i, j]) > eta[j] + COVERAGE_TOL:
+                    eta[j], best_r[j], best_rows[j] = abs(dets[r, i, j]), r, i
+                rounded = abs(np.round(dets[r, i, j], 12))
+                if rounded > top:
+                    top, pm_best[r, j] = rounded, i
+    return (eta, best_r, best_rows), pm_best
+
+
+def _rotation(kind, size, rng):
+    if kind == "random":
+        return random_orthogonal(size, rng).entries
+    base = np.eye(size) if kind == "permutation" else lower_flat(size).entries
+    signed = base * rng.choice((-1.0, 1.0), size)
+    return signed[rng.permutation(size)][:, rng.permutation(size)]
+
+
+class TestMinorTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        half=st.integers(1, 2),
+        seed=st.integers(0, 2 ** 32 - 1),
+        layout=st.sampled_from([(0,), (0, 1), (0, 0), (0, 1, 0)]),
+        kind=st.sampled_from(["random", "permutation", "lower_flat"]),
+    )
+    def test_matches_submatrix_dets_and_loop_oracle(self, n, half, seed, layout, kind):
+        # repeated matrices tie exactly; signed permutations and permuted
+        # lower-flat matrices tie exactly or, at n = 3 and 5, within rounding
+        rng = np.random.default_rng(seed)
+        base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
+        arrays = [base[b] for b in layout]
+        table = scan_minors(arrays, n, half)
+        assert table.dets.shape == (
+            len(arrays), math.comb(n, half), math.comb(2 * n, 2 * half)
+        )
+        for r, arr in enumerate(arrays):
+            for i, rows in enumerate(table.row_sets):
+                for j, cols in enumerate(table.supports):
+                    ref = submatrix_det(arr, rows, cols)
+                    assert abs(table.dets[r, i, j] - ref) < 1e-12
+        (eta, best_r, best_rows), pm_best = _loop_reductions(table.dets)
+        got_eta, got_r, got_rows = table.best
+        assert np.array_equal(got_eta, eta)
+        assert np.array_equal(got_r, best_r)
+        assert np.array_equal(got_rows, best_rows)
+        got_best, got_vals = table.per_matrix
+        assert np.array_equal(got_best, pm_best)
+        columns = np.arange(len(table.supports))
+        for r in range(len(arrays)):
+            assert np.array_equal(got_vals[r], table.dets[r, pm_best[r], columns])
+
+    def test_degree2k_table_is_the_stack_of_its_candidates(self):
+        ens = degree2k_ensemble(6, 2, 9, seed=7)
+        table = ens.coverage.table
+        rescanned = scan_minors(ens.arrays(), 6, 2)
+        assert np.array_equal(table.dets, rescanned.dets)
+        assert table.supports == rescanned.supports
+        assert table.row_sets == rescanned.row_sets
+        # its minors tie within COVERAGE_TOL across rotations, so this also
+        # pins the tolerance of the coverage chain
+        (eta, best_r, best_rows), _ = _loop_reductions(table.dets)
+        for s_i, row in enumerate(ens.coverage.rows):
+            assert (row.r, row.eta) == (best_r[s_i] + 1, eta[s_i])
+            assert row.rows == table.row_sets[best_rows[s_i]]
 
 
 class TestPartitionCombinatorics:
