@@ -223,11 +223,13 @@ def _cmd_estimate(args):
     from majorana_jm import io
     from majorana_jm.povm import sharpness_table
     from majorana_jm.sampling import (
+        EstimationRecord,
         HamiltonianSpec,
         estimate_expectations,
         estimate_hamiltonian,
         exact_expectations,
         predicted_variance,
+        shot_probability_table,
         simulate_shots,
     )
 
@@ -260,13 +262,12 @@ def _cmd_estimate(args):
         return EXIT_UNCOVERED
     ham_record = None
     if args.shots == 0:
-        # one probability table for the targets and the Hamiltonian terms
-        records = exact_expectations(state, parent, list(targets) + ham_terms)
+        # one probability table and one sharpness table for targets and terms
+        probs = shot_probability_table(state, parent)
+        records = exact_expectations(probs, table, list(targets) + ham_terms)
         records, term_records = records[: len(targets)], records[len(targets) :]
         if ham:
             total = sum(c * r.estimate for (_, c), r in zip(ham.terms, term_records))
-            from majorana_jm.sampling import EstimationRecord
-
             ham_record = EstimationRecord("hamiltonian", total, 0, 0.0)
         meta["mode"] = "exact"
     else:

@@ -92,9 +92,6 @@ class LowerFlatMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def as_orthogonal(self) -> OrthogonalMatrix:
-        return OrthogonalMatrix(self.entries)
-
 
 def sylvester_hadamard(m: int, max_m: int = _HADAMARD_MAX_M) -> np.ndarray:
     """Sylvester Hadamard matrix of order ``2**m`` with +-1 entries."""

@@ -161,8 +161,7 @@ def shot_log_csv(batch: ShotBatch) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["shot_id", "r", "x_bits", "q_bits"])
-    q_bits = ((1 - batch.q.astype(np.int64)) // 2) << np.arange(batch.n_modes)
-    packed = q_bits.sum(axis=1)
+    packed = batch.q_bits
     for i in range(len(batch)):
         writer.writerow(
             [i, int(batch.r[i]), format(int(batch.conj_mask[i]), "x"), format(int(packed[i]), "x")]

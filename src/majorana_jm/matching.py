@@ -636,24 +636,30 @@ def degree2k_ensemble(
     two_n = 2 * n_modes
     threshold = min_entry ** (2 * half_degree)
 
-    def scan(sigma: np.ndarray) -> MinorTable:
-        return scan_minors([o1 @ permutation_matrix(sigma)], n_modes, half_degree)
-
-    def covered(table: MinorTable) -> np.ndarray:
-        # supports whose best minor under this rotation meets the sharpness bound
-        return table.best[0] >= threshold - 1e-12
+    def scan(i: int) -> MinorTable:
+        # candidate i's minors go to its slot of the ensemble's table; beside
+        # them only its coverage mask (best minor meets the bound) is kept
+        table = scan_minors([o1 @ permutation_matrix(sigmas[i])], n_modes, half_degree)
+        dets[i] = table.dets[0]
+        covered[i] = table.best[0] >= threshold - 1e-12
+        return table
 
     sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
-    tables = [scan(s) for s in sigmas]
+    dets = np.empty(
+        (n_matrices, math.comb(n_modes, half_degree), math.comb(two_n, 2 * half_degree))
+    )
+    covered = np.empty((n_matrices, dets.shape[2]), dtype=bool)
+    for i in range(n_matrices):
+        last = scan(i)
     retries = 0
-    while not np.any([covered(t) for t in tables], axis=0).all():
+    while not covered.any(axis=0).all():
         if retries >= max_retries:
             raise CoverageError(
                 f"coverage not achieved within {max_retries} resamples"
             )
-        weakest = int(np.argmin([covered(t).sum() for t in tables]))
+        weakest = int(np.argmin(covered.sum(axis=1)))
         sigmas[weakest] = rng.permutation(two_n)
-        tables[weakest] = scan(sigmas[weakest])
+        last = scan(weakest)
         retries += 1
     matrices = tuple(
         OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas
@@ -671,11 +677,8 @@ def degree2k_ensemble(
         block_min_entry=min_entry,
         within_pairs=within,
     )
-    # the kept candidates' minors stack into the ensemble's table: no rescan
-    dets = np.concatenate([t.dets for t in tables])
-    coverage = CoverageReport(
-        MinorTable(half_degree, tables[0].supports, tables[0].row_sets, dets), within
-    )
+    # the kept candidates' minors are the ensemble's table: no rescan
+    coverage = CoverageReport(MinorTable(half_degree, last.supports, last.row_sets, dets), within)
     if coverage.uncovered:
         raise CoverageError(f"uncovered supports remain: {coverage.uncovered[:5]}")
     if coverage.min_eta < threshold - 1e-12:

@@ -24,6 +24,7 @@ from majorana_jm.algebra import (
     DENSE_LIMIT,
     apply_monomial,
     canonical_monomial,
+    indices_to_support,
     monomial_action,
     monomial_trace,
     support_to_indices,
@@ -149,6 +150,12 @@ class ShotBatch:
     def __len__(self) -> int:
         return len(self.r)
 
+    @property
+    def q_bits(self) -> np.ndarray:
+        """Basis outcomes packed as (L,) uint64 masks, bit j = (1 - q_j)/2."""
+        bits = ((1 - self.q) // 2).astype(np.uint64)
+        return (bits << np.arange(self.n_modes, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
     def records(self):
         for i in range(len(self.r)):
             yield ShotRecord(
@@ -246,28 +253,36 @@ def shot_probability_table(state: FermionicState, parent: ParentPovmSpec):
     return table / n_mat
 
 
+def _parity(bits) -> np.ndarray:
+    """``(-1)^popcount`` of each bitmask, as floats."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
+
+
+def _sign_rule(table: SharpnessTable, subset):
+    """The post-processing rule ``e_S = tau_r x_S(X) q_R(q)`` of one target.
+
+    Returns the support mask of S, ``tau`` (the sign of each rotation's
+    assigned minor, 0 where the rotation does not cover S) and ``modes`` (the
+    mode mask of each rotation's assigned R).  Targets have even degree, so
+    ``x_S(X) = (-1)^|X & S|`` and ``q_R(q) = (-1)^|q_bits & modes_R|``.
+    """
+    n = table.n_modes
+    tau = np.zeros(table.n_matrices)
+    modes = np.zeros(table.n_matrices, dtype=np.uint64)
+    for r in range(table.n_matrices):
+        rows, det = table.assignment(r + 1, subset)
+        if rows is not None:
+            tau[r] = math.copysign(1.0, det)
+            modes[r] = indices_to_support([v // 2 for v in rows[1::2]], n)
+    return np.uint64(indices_to_support(subset, n)), tau, modes
+
+
 def _target_signs(batch: ShotBatch, table: SharpnessTable, subset):
     """Per-shot post-processed signs for one target, NaN where uncovered."""
-    n = batch.n_modes
-    s_mask = 0
-    for v in subset:
-        s_mask |= 1 << (v - 1)
-    size = len(tuple(subset))
-    pop_x = np.bitwise_count(batch.conj_mask)
-    pop_int = np.bitwise_count(batch.conj_mask & np.uint64(s_mask))
-    x_sign = 1 - 2 * ((size * pop_x - pop_int) % 2).astype(np.int64)
-    out = np.full(len(batch.r), np.nan)
-    for r in range(1, table.n_matrices + 1):
-        rows, det = table.assignment(r, subset)
-        members = batch.r == r
-        if not members.any():
-            continue
-        if rows is None:
-            continue  # uncovered under this rotation: filled by a coin later
-        modes = [(v - 1) // 2 for v in rows[::2]]
-        q_r = batch.q[members][:, modes].prod(axis=1)
-        out[members] = math.copysign(1.0, det) * x_sign[members] * q_r
-    return out
+    s_mask, tau, modes = _sign_rule(table, subset)
+    tau[tau == 0.0] = np.nan  # uncovered under this rotation: filled by a coin later
+    r = batch.r - 1
+    return tau[r] * _parity(batch.conj_mask & s_mask) * _parity(batch.q_bits & modes[r])
 
 
 def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng) -> np.ndarray:
@@ -356,47 +371,30 @@ def estimate_hamiltonian(
     return EstimationRecord("hamiltonian", est, len(per_shot), stderr)
 
 
-def exact_expectations(
-    state: FermionicState, parent: ParentPovmSpec, targets
-) -> list[EstimationRecord]:
+def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> list[EstimationRecord]:
     """Analytic estimator expectations from the exact outcome table (no sampling).
 
-    Enumerates every outcome of every rotation, so it doubles as an
-    unbiasedness oracle: the result equals ``tr(gamma_S rho)`` exactly for
-    covered targets.
+    ``probs`` is :func:`shot_probability_table` of the state and parent that
+    ``table`` describes.  Enumerates every outcome of every rotation, so it
+    doubles as an unbiasedness oracle: the result equals ``tr(gamma_S rho)``
+    exactly for covered targets.
     """
-    n = state.n_modes
-    table = sharpness_table(parent.ensemble)
-    probs = shot_probability_table(state, parent)
-    masks = np.arange(4 ** n)
-    q_idx = np.arange(2 ** n)
-    pop_x = np.bitwise_count(masks).astype(np.int64)
+    n = table.n_modes
+    masks = np.arange(4 ** n, dtype=np.uint64)
+    q_bits = np.arange(2 ** n, dtype=np.uint64)
     records = []
     for subset in targets:
         eta = _effective_sharpness(table, subset)
-        s_mask = sum(1 << (v - 1) for v in subset)
-        size = len(tuple(subset))
-        pop_int = np.bitwise_count(masks & s_mask).astype(np.int64)
-        x_s = 1.0 - 2.0 * ((size * pop_x - pop_int) % 2)
+        s_mask, tau, modes = _sign_rule(table, subset)
+        x_s = _parity(masks & s_mask)
         total = 0.0
-        for r in range(1, parent.n_matrices + 1):
-            rows, det = table.assignment(r, subset)
-            if rows is None:
-                continue  # coin: zero mean
-            tau = math.copysign(1.0, det)
-            mode_mask = sum(1 << ((v - 1) // 2) for v in rows[::2])
-            q_r = 1.0 - 2.0 * (np.bitwise_count(q_idx & mode_mask) & 1)
-            total += tau * float(x_s @ probs[r - 1] @ q_r)
+        for r in np.flatnonzero(tau):  # uncovered rotations draw coins: zero mean
+            total += tau[r] * float(x_s @ probs[r] @ _parity(q_bits & modes[r]))
         records.append(EstimationRecord(tuple(subset), float(total / eta), 0, 0.0))
     return records
 
 
-def predicted_variance(
-    ham: HamiltonianSpec,
-    o_arr,
-    state: FermionicState,
-    assignment: dict | None = None,
-) -> float:
+def predicted_variance(ham: HamiltonianSpec, o_arr, state: FermionicState) -> float:
     """Variance of the single-rotation energy estimator.
 
     Requires the fixed single-rotation, fixed-R(S) setting; the cross terms
@@ -404,19 +402,18 @@ def predicted_variance(
     """
     arr = np.asarray(o_arr, dtype=float)
     n = state.n_modes
-    if assignment is None and ham.terms:
+    assignment = {}
+    if ham.terms:
         from majorana_jm.matching import custom_ensemble
 
         # one single-rotation table; its lazy degrees serve every term
         half = len(ham.terms[0][0]) // 2
         tab = sharpness_table(custom_ensemble(n, half, [arr]))
-        pairs = {}
         for subset, _ in ham.terms:
             rows, det = tab.assignment(1, subset)
             if rows is None:
                 raise UncoveredTargetError(f"term {subset} has zero sharpness")
-            pairs[subset] = rows
-        assignment = pairs
+            assignment[subset] = rows
     total = 0.0
     for subset, coeff in ham.terms:
         nu = submatrix_det(arr, assignment[subset], subset)

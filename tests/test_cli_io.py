@@ -314,6 +314,33 @@ class TestCli:
             assert self.run(command, "--ensemble", archive, "--out", str(tmp_path / command)) == 0
             assert calls == [info["n_matrices"]]
 
+    def test_exact_estimate_scans_each_extra_degree_once(self, tmp_path, monkeypatch):
+        from majorana_jm import matching, povm
+
+        halves = []
+        scan_minors = matching.scan_minors
+
+        def counted(arrays, n_modes, half_degree):
+            halves.append(half_degree)
+            return scan_minors(arrays, n_modes, half_degree)
+
+        monkeypatch.setattr(matching, "scan_minors", counted)
+        monkeypatch.setattr(povm, "scan_minors", counted)
+        archive = str(tmp_path / "ens.zip")
+        assert self.run("construct", "--n", "3", "--k", "1", "--out", archive) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.random_pure(3, np.random.default_rng(4))))
+        ham_path = tmp_path / "ham.json"
+        ham_path.write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
+        halves.clear()
+        assert self.run(
+            "estimate", "--state", str(state_path), "--ensemble", archive,
+            "--targets", "gamma[1,2]", "--hamiltonian", str(ham_path),
+            "--shots", "0", "--out", str(tmp_path / "exact.json"),
+        ) == 0
+        # the archive's degree-2 table is rescanned on load; degree 4 once, lazily
+        assert halves == [1, 2]
+
 
 class TestMixedDegreeHamiltonian:
     def test_table_serves_multiple_degrees(self):

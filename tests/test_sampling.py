@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from majorana_jm.algebra import (
@@ -25,6 +27,7 @@ from majorana_jm.sampling import (
     EstimationRecord,
     FermionicState,
     HamiltonianSpec,
+    ShotBatch,
     UncoveredTargetError,
     degree1_variance,
     estimate_expectations,
@@ -180,7 +183,7 @@ class TestMatrixFreeAgainstDense:
         table = sharpness_table(parent.ensemble)
         probs = shot_probability_table(state, parent)
         targets = subsets_of_size(2 * n, 2)[::2] + subsets_of_size(2 * n, 4)[::3]
-        for rec in exact_expectations(state, parent, targets):
+        for rec in exact_expectations(probs, table, targets):
             subset = rec.target
             s_mask = sum(1 << (v - 1) for v in subset)
             total = 0.0
@@ -196,6 +199,48 @@ class TestMatrixFreeAgainstDense:
                         total += probs[r - 1, mask, q_idx] * math.copysign(1.0, det) * x_s * q_r
             expected = total / table.mean_sharpness(subset)
             assert rec.estimate == pytest.approx(expected, abs=1e-12)
+
+
+def loop_target_signs(batch, table, subset):
+    """Per-shot ``(-1)^(|S||X| - |S & X|) prod_{j in R} q_j sign(det)``, NaN where uncovered."""
+    s_mask = sum(1 << (v - 1) for v in subset)
+    out = np.empty(len(batch))
+    for i in range(len(batch)):
+        rows, det = table.assignment(int(batch.r[i]), subset)
+        if rows is None:
+            out[i] = np.nan
+            continue
+        x = int(batch.conj_mask[i])
+        x_s = (-1) ** (len(subset) * x.bit_count() - (x & s_mask).bit_count())
+        q_r = math.prod(int(batch.q[i, (v - 1) // 2]) for v in rows[::2])
+        out[i] = x_s * q_r * math.copysign(1.0, det)
+    return out
+
+
+class TestSignRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        half=st.integers(1, 2),
+        n_random=st.integers(1, 2),
+        shots=st.integers(1, 80),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_target_signs_match_loop_oracle(self, n, half, n_random, shots, seed):
+        # the identity rotation covers only the pair products, so most
+        # targets are uncovered under it and its shots stay NaN
+        rng = np.random.default_rng(seed)
+        mats = [random_orthogonal(2 * n, rng).entries for _ in range(n_random)] + [np.eye(2 * n)]
+        table = sharpness_table(custom_ensemble(n, 1, mats))
+        batch = ShotBatch(
+            n,
+            rng.integers(1, len(mats) + 1, size=shots),
+            rng.integers(0, 4 ** n, size=shots, dtype=np.uint64),
+            rng.choice(np.array([-1, 1], dtype=np.int8), size=(shots, n)),
+        )
+        for subset in subsets_of_size(2 * n, 2 * half):
+            got = _target_signs(batch, table, subset)
+            assert np.array_equal(got, loop_target_signs(batch, table, subset), equal_nan=True)
 
 
 class TestEstimators:
@@ -238,7 +283,9 @@ class TestEstimators:
         rng = np.random.default_rng(5)
         parent = ParentPovmSpec(degree2_ensemble(n))
         state = FermionicState.random_pure(n, rng)
-        recs = exact_expectations(state, parent, subsets_of_size(2 * n, 2))
+        table = sharpness_table(parent.ensemble)
+        probs = shot_probability_table(state, parent)
+        recs = exact_expectations(probs, table, subsets_of_size(2 * n, 2))
         for rec in recs:
             assert rec.estimate == pytest.approx(state.expectation(rec.target), abs=1e-10)
 
