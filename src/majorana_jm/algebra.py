@@ -5,9 +5,11 @@ together with an integer power of i, so all products, conjugations and sign
 rules are exact.  Dense matrices are produced through the Jordan-Wigner
 image and are only needed for small mode counts.  Hot paths never build
 them: under Jordan-Wigner a monomial is a signed permutation of the basis,
-``gamma |b> = d[b] |b ^ flip>``, which :func:`monomial_action` returns and
-:func:`apply_monomial` and :func:`monomial_trace` use in O(2^n) work per
-vector or trace.
+``gamma |b> = d[b] |b ^ flip>``, which :func:`monomial_action` computes in
+closed form from the support bits and :func:`apply_monomial` and
+:func:`monomial_trace` use in O(2^n) work per vector or trace.
+:func:`to_pauli` and :func:`pauli_dense` are the independent letter-by-letter
+and Kronecker-product oracle.
 
 Conventions
 -----------
@@ -43,6 +45,7 @@ __all__ = [
     "to_pauli",
     "pauli_dense",
     "monomial_action",
+    "parity",
     "apply_monomial",
     "monomial_trace",
     "dense_matrix",
@@ -158,11 +161,20 @@ class ScaledMonomial:
         return monomial_to_str(self)
 
 
+def _as_support(indices, n_modes: int | None = None) -> int:
+    """Support mask of a mask or of 1-based indices (checked up to ``n_modes`` or the largest)."""
+    if isinstance(indices, int):
+        return indices
+    indices = tuple(indices)
+    if n_modes is None:
+        n_modes = (max(indices, default=0) + 1) // 2
+    return indices_to_support(indices, n_modes)
+
+
 def canonical_monomial(n_modes: int, indices) -> ScaledMonomial:
-    """Hermitian observable on the given 1-based index set."""
-    support = indices_to_support(indices, n_modes)
-    k = support.bit_count()
-    return ScaledMonomial(n_modes, support, math.comb(k, 2) % 4)
+    """Hermitian observable on a 1-based index set or a support bitmask."""
+    support = _as_support(indices, n_modes)
+    return ScaledMonomial(n_modes, support, math.comb(support.bit_count(), 2) % 4)
 
 
 def identity_monomial(n_modes: int) -> ScaledMonomial:
@@ -200,19 +212,9 @@ def commutation_sign(set_a, set_b) -> int:
     Accepts 1-based index iterables or support bitmasks; the sign is
     ``(-1)**(|A|*|B| - |A & B|)``.
     """
-    mask_a = set_a if isinstance(set_a, int) else _mask_of(set_a)
-    mask_b = set_b if isinstance(set_b, int) else _mask_of(set_b)
+    mask_a, mask_b = _as_support(set_a), _as_support(set_b)
     exponent = mask_a.bit_count() * mask_b.bit_count() - (mask_a & mask_b).bit_count()
     return -1 if exponent % 2 else 1
-
-
-def _mask_of(indices) -> int:
-    mask = 0
-    for j in indices:
-        if j < 1:
-            raise ValueError("indices are 1-based")
-        mask |= 1 << (j - 1)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -271,24 +273,33 @@ def pauli_dense(p: PauliString) -> np.ndarray:
     return out
 
 
+def parity(bits) -> np.ndarray:
+    """``(-1)^popcount`` of each bitmask, as floats."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
+
+
 def monomial_action(m: ScaledMonomial) -> tuple[int, np.ndarray]:
     """Matrix-free Jordan-Wigner action ``gamma |b> = d[b] |b ^ flip>``.
 
-    ``flip`` holds the X/Y qubits of ``to_pauli(m)``; with ``Y = i X Z`` the
-    diagonal is ``d[b] = i**(phase + #Y) * (-1)**popcount(b & zmask)`` where
-    ``zmask`` holds the Y/Z qubits.
+    Closed form on the support bits, generators applied right to left:
+    generator ``g`` (0-based) flips qubit ``h = g >> 1`` with diagonal
+    ``(-1)^popcount(b & z_g)``, where ``z_g`` holds the qubits below ``h``
+    plus ``h`` itself and a factor ``i`` when ``g`` is odd (``Y = i X Z``);
+    acting after the flips so far contributes ``(-1)^popcount(flip & z_g)``.
     """
-    p = to_pauli(m)
     flip = zmask = 0
-    for q, letter in enumerate(p.letters):
-        if letter in "XY":
-            flip |= 1 << q
-        if letter in "YZ":
-            zmask |= 1 << q
-    quarter = (p.phase_quarter + p.letters.count("Y")) % 4
+    quarter = m.phase_quarter
+    rest = m.support
+    while rest:
+        g = rest.bit_length() - 1
+        rest ^= 1 << g
+        h = g >> 1
+        z_g = (1 << h) - 1 | (g & 1) << h
+        quarter += (g & 1) + 2 * (flip & z_g).bit_count()
+        flip ^= 1 << h
+        zmask ^= z_g
     basis = np.arange(2 ** m.n_modes, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(basis & zmask) & 1)
-    return flip, _PHASE_VALUES[quarter] * signs
+    return flip, _PHASE_VALUES[quarter % 4] * parity(basis & zmask)
 
 
 def apply_monomial(m: ScaledMonomial, v: np.ndarray) -> np.ndarray:
@@ -371,12 +382,7 @@ def braid_conjugate(b: BraidElement, m: ScaledMonomial) -> ScaledMonomial:
 
 def braid_unitary(b: BraidElement, n_modes: int) -> np.ndarray:
     """Dense unitary ``(1 - gamma_i gamma_j)/sqrt(2)`` (or its inverse)."""
-    gij = dense_matrix(
-        monomial_product(
-            ScaledMonomial(n_modes, 1 << (b.i - 1), 0),
-            ScaledMonomial(n_modes, 1 << (b.j - 1), 0),
-        )
-    )
+    gij = dense_matrix(ScaledMonomial(n_modes, 1 << (b.i - 1) | 1 << (b.j - 1), 0))
     eye = np.eye(gij.shape[0], dtype=complex)
     if b.inverse_flag:
         return (eye + gij) / math.sqrt(2.0)

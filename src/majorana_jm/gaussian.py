@@ -19,7 +19,6 @@ from majorana_jm.algebra import (
     canonical_monomial,
     dense_matrix,
     monomial_action,
-    monomial_product,
     subsets_of_size,
 )
 
@@ -214,10 +213,7 @@ def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     scratch = np.empty_like(ut)
     basis = np.arange(2 ** n_modes)
     for i, j, theta in factors:
-        pair = monomial_product(
-            ScaledMonomial(n_modes, 1 << i, 0), ScaledMonomial(n_modes, 1 << j, 0)
-        )
-        mask, d = monomial_action(pair)
+        mask, d = monomial_action(ScaledMonomial(n_modes, 1 << i | 1 << j, 0))
         # (u @ gamma)[:, b] = u[:, b ^ mask] * d[b]
         np.take(ut, basis ^ mask, axis=0, out=scratch)
         scratch *= (math.sin(theta / 2.0) * d)[:, None]

@@ -45,6 +45,8 @@ __all__ = [
     "rng_for",
 ]
 
+_ARCHIVE_FORMAT = "majorana-jm ensemble v1"
+
 
 def matrix_to_text(arr: np.ndarray) -> str:
     arr = np.asarray(arr, dtype=float)
@@ -111,7 +113,7 @@ def sharpness_csv(table) -> str:
 def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
     """Zip archive of matrices, construction metadata and the coverage table."""
     meta = {
-        "format": "majorana-jm ensemble v1",
+        "format": _ARCHIVE_FORMAT,
         "n_modes": ensemble.n_modes,
         "degree_k": ensemble.degree_k,
         "n_matrices": ensemble.n_matrices,
@@ -144,6 +146,8 @@ def read_ensemble_archive(path) -> MeasurementEnsemble:
     """Rebuild an ensemble from an archive, re-running the coverage scan."""
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("metadata.json"))
+        if meta.get("format") != _ARCHIVE_FORMAT:
+            raise ValueError(f"not a {_ARCHIVE_FORMAT!r} archive: format {meta.get('format')!r}")
         mats = []
         for r in range(1, meta["n_matrices"] + 1):
             mats.append(matrix_from_text(zf.read(f"matrix_{r}.txt").decode()))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +24,10 @@ from majorana_jm.algebra import (
     dense_matrix,
     indices_to_support,
     monomial_trace,
+    parity,
 )
 from majorana_jm.matching import (
+    COVERAGE_TOL,
     MeasurementEnsemble,
     MinorTable,
     diag_index_sets,
@@ -82,30 +83,19 @@ class ParentPovmSpec:
 
 
 def x_string_from_subset(mask: int, n_modes: int) -> np.ndarray:
-    """Sign string of conjugation by the monomial with support ``mask``."""
-    signs = np.empty(2 * n_modes, dtype=np.int8)
-    for j in range(2 * n_modes):
-        signs[j] = commutation_sign(mask, 1 << j)
-    return signs
+    """Sign string of conjugation by the monomial with support ``mask``.
+
+    ``x_j = (-1)^(|X| - [j in X])``; an array of masks gives one row per mask.
+    """
+    masks = np.asarray(mask, dtype=np.uint64)[..., None]
+    inside = masks >> np.arange(2 * n_modes, dtype=np.uint64) & np.uint64(1)
+    return (parity(masks) * parity(inside)).astype(np.int8)
 
 
 def subset_from_x_string(signs) -> int:
     """Inverse of :func:`x_string_from_subset` (unique support mask)."""
-    neg = [j for j, s in enumerate(signs) if s < 0]
-    if len(neg) % 2 == 0:
-        mask = 0
-        for j in neg:
-            mask |= 1 << j
-        return mask
-    mask = (1 << len(signs)) - 1
-    for j in neg:
-        mask ^= 1 << j
-    return mask
-
-
-@lru_cache(maxsize=64)
-def _diag_sets_cached(n_modes: int, half: int):
-    return tuple(diag_index_sets(n_modes, half))
+    neg = sum(1 << j for j, s in enumerate(signs) if s < 0)
+    return neg ^ ((1 << len(signs)) - 1) if neg.bit_count() % 2 else neg
 
 
 def minor_terms(o_arr: np.ndarray, n_modes: int):
@@ -117,7 +107,7 @@ def minor_terms(o_arr: np.ndarray, n_modes: int):
     """
     terms = []
     for half in range(1, n_modes + 1):
-        rows_sets = _diag_sets_cached(n_modes, half)
+        rows_sets = diag_index_sets(n_modes, half)
         cols_sets = list(
             itertools.combinations(range(1, 2 * n_modes + 1), 2 * half)
         )
@@ -150,29 +140,27 @@ def parent_effect(o_arr, q, conj_subset, n_modes: int) -> np.ndarray:
     acc = np.eye(dim, dtype=complex)
     for rows, cols, det in minor_terms(arr, n_modes):
         q_r = int(np.prod(q[[(v - 1) // 2 for v in rows[::2]]]))
-        x_s = commutation_sign(mask, indices_to_support(cols, n_modes))
+        x_s = commutation_sign(mask, cols)
         acc = acc + (q_r * x_s * det) * dense_matrix(canonical_monomial(n_modes, cols))
     return acc / 2 ** (3 * n_modes)
 
 
 def _sign_grids(o_arr, n_modes):
-    """Per-term outcome sign tables over the q-grid and the x-grid."""
+    """Per-term outcome sign tables over the q-grid and the x-grid.
+
+    Grid row ``idx`` holds ``(-1)^bit_j(idx)``, so a term's signs are ``parity(idx & mask)``.
+    """
     terms = minor_terms(np.asarray(o_arr, dtype=float), n_modes)
     n = n_modes
-    q_grid = np.array(
-        [[1 - 2 * ((idx >> j) & 1) for j in range(n)] for idx in range(2 ** n)],
-        dtype=np.int64,
-    )
-    x_grid = np.array(
-        [[1 - 2 * ((idx >> j) & 1) for j in range(2 * n)] for idx in range(4 ** n)],
-        dtype=np.int64,
-    )
+    q_idx = np.arange(2 ** n)
+    x_idx = np.arange(4 ** n)
+    q_grid = 1 - 2 * (q_idx[:, None] >> np.arange(n) & 1)
+    x_grid = 1 - 2 * (x_idx[:, None] >> np.arange(2 * n) & 1)
     q_signs = np.empty((2 ** n, len(terms)), dtype=np.int64)
     x_signs = np.empty((4 ** n, len(terms)), dtype=np.int64)
     for m, (rows, cols, _) in enumerate(terms):
-        modes = [(v - 1) // 2 for v in rows[::2]]
-        q_signs[:, m] = np.prod(q_grid[:, modes], axis=1)
-        x_signs[:, m] = np.prod(x_grid[:, [c - 1 for c in cols]], axis=1)
+        q_signs[:, m] = parity(q_idx & indices_to_support([v // 2 for v in rows[1::2]], n))
+        x_signs[:, m] = parity(x_idx & indices_to_support(cols, n))
     return terms, q_grid, x_grid, q_signs, x_signs
 
 
@@ -224,7 +212,7 @@ def marginal_effect(o_arr, rows, cols, outcome: int, n_modes: int) -> np.ndarray
     arr = np.asarray(o_arr, dtype=float)
     rows = tuple(sorted(rows))
     cols = tuple(sorted(cols))
-    if rows not in _diag_sets_cached(n_modes, len(rows) // 2):
+    if rows not in diag_index_sets(n_modes, len(rows) // 2):
         raise ValueError("rows must be a union of standard pairs")
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(arr, n_modes)
     try:
@@ -336,16 +324,21 @@ class SharpnessTable:
         return self._row(*self._locate(subset))
 
     def mean_sharpness(self, subset) -> float:
-        """Sharpness of the uniformly randomized parent for this observable."""
+        """Sharpness of the uniformly randomized parent for this observable.
+
+        Zero when no rotation's minor exceeds ``COVERAGE_TOL``, the threshold
+        below which :meth:`assignment` leaves a rotation unassigned.
+        """
         table, i = self._locate(subset)
-        return float(np.abs(table.per_matrix[1][:, i]).mean())
+        minors = np.abs(table.per_matrix[1][:, i])
+        return float(minors.mean()) if minors.max() > COVERAGE_TOL else 0.0
 
     def assignment(self, r: int, subset):
         """Best rows and signed minor of matrix ``r`` (1-based) for a subset."""
         table, i = self._locate(subset)
         best, vals = table.per_matrix
         det = float(vals[r - 1, i])
-        return (table.row_sets[int(best[r - 1, i])] if abs(det) > 1e-12 else None), det
+        return (table.row_sets[int(best[r - 1, i])] if abs(det) > COVERAGE_TOL else None), det
 
     @property
     def min_sharpness(self) -> float:

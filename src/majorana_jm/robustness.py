@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
+from majorana_jm.algebra import canonical_monomial, dense_matrix, monomial_action, subsets_of_size
 
 __all__ = [
     "SignSection",
@@ -102,11 +102,17 @@ class TournamentMatrix:
 
 
 def syk_operator(section: SignSection) -> np.ndarray:
-    """Dense signed sum of all degree-k observables for a section."""
+    """Dense signed sum of all degree-k observables for a section.
+
+    Each term's signed permutation is scattered into one accumulator,
+    ``acc[b ^ flip, b] += s d[b]``.
+    """
     n = section.n_modes
+    basis = np.arange(2 ** n)
     acc = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for sign, subset in zip(section.signs, section.supports):
-        acc = acc + sign * dense_matrix(canonical_monomial(n, subset))
+        flip, d = monomial_action(canonical_monomial(n, subset))
+        acc[basis ^ flip, basis] += sign * d
     return acc
 
 

@@ -27,7 +27,7 @@ from majorana_jm.algebra import (
     indices_to_support,
     monomial_action,
     monomial_trace,
-    support_to_indices,
+    parity,
 )
 from majorana_jm.gaussian import compile_gaussian_unitary, submatrix_det
 from majorana_jm.povm import (
@@ -174,8 +174,7 @@ def _pair_sign_table(n_modes: int) -> np.ndarray:
 
 def _conjugated_density(conj_mask: int, rho: np.ndarray, n_modes: int) -> np.ndarray:
     """``gamma_X rho gamma_X^dag`` by one row and one column gather."""
-    gx = canonical_monomial(n_modes, support_to_indices(conj_mask))
-    flip, d = monomial_action(gx)
+    flip, d = monomial_action(canonical_monomial(n_modes, conj_mask))
     basis = np.arange(len(d)) ^ flip
     # (gamma rho gamma^dag)[a, b] = d[a^f] rho[a^f, b^f] conj(d[b^f])
     return (d[:, None] * rho * d.conj())[np.ix_(basis, basis)]
@@ -183,8 +182,7 @@ def _conjugated_density(conj_mask: int, rho: np.ndarray, n_modes: int) -> np.nda
 
 def _group_probability(o_unitary, state, conj_mask, n_modes):
     if state.is_pure:
-        gx = canonical_monomial(n_modes, support_to_indices(conj_mask))
-        vec = o_unitary @ apply_monomial(gx, state.vector)
+        vec = o_unitary @ apply_monomial(canonical_monomial(n_modes, conj_mask), state.vector)
         probs = np.abs(vec) ** 2
     else:
         conjugated = _conjugated_density(conj_mask, state.density_matrix, n_modes)
@@ -253,11 +251,6 @@ def shot_probability_table(state: FermionicState, parent: ParentPovmSpec):
     return table / n_mat
 
 
-def _parity(bits) -> np.ndarray:
-    """``(-1)^popcount`` of each bitmask, as floats."""
-    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
-
-
 def _sign_rule(table: SharpnessTable, subset):
     """The post-processing rule ``e_S = tau_r x_S(X) q_R(q)`` of one target.
 
@@ -282,7 +275,7 @@ def _target_signs(batch: ShotBatch, table: SharpnessTable, subset):
     s_mask, tau, modes = _sign_rule(table, subset)
     tau[tau == 0.0] = np.nan  # uncovered under this rotation: filled by a coin later
     r = batch.r - 1
-    return tau[r] * _parity(batch.conj_mask & s_mask) * _parity(batch.q_bits & modes[r])
+    return tau[r] * parity(batch.conj_mask & s_mask) * parity(batch.q_bits & modes[r])
 
 
 def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng) -> np.ndarray:
@@ -386,10 +379,10 @@ def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> lis
     for subset in targets:
         eta = _effective_sharpness(table, subset)
         s_mask, tau, modes = _sign_rule(table, subset)
-        x_s = _parity(masks & s_mask)
+        x_s = parity(masks & s_mask)
         total = 0.0
         for r in np.flatnonzero(tau):  # uncovered rotations draw coins: zero mean
-            total += tau[r] * float(x_s @ probs[r] @ _parity(q_bits & modes[r]))
+            total += tau[r] * float(x_s @ probs[r] @ parity(q_bits & modes[r]))
         records.append(EstimationRecord(tuple(subset), float(total / eta), 0, 0.0))
     return records
 
@@ -468,7 +461,7 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
     rotated = u.conj().T @ apply_monomial(canonical_monomial(n, [1]), u)
     rho = state.density()
     masks = rng.integers(0, 2 ** two_n, size=n_shots, dtype=np.uint64)
-    out = np.empty((n_shots, two_n), dtype=np.int8)
+    qs = np.empty((n_shots, 1), dtype=np.int8)
     means = {}
     for i, mask in enumerate(masks):
         key = int(mask)
@@ -477,9 +470,8 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
             conjugated = _conjugated_density(key, rho, n)
             means[key] = float(np.real(np.sum(rotated * conjugated.T)))
         p_plus = (1.0 + means[key]) / 2.0
-        q = 1 if rng.random() < p_plus else -1
-        out[i] = q * x_string_from_subset(key, n)
-    return out
+        qs[i] = 1 if rng.random() < p_plus else -1
+    return qs * x_string_from_subset(masks, n)
 
 
 def sample_complexity(

@@ -53,6 +53,15 @@ class TestCanonical:
                 if subset:
                     assert abs(np.trace(g)) < 1e-12
 
+    def test_support_mask_gives_the_same_observable(self):
+        for n in (1, 2, 3):
+            for size in range(0, 2 * n + 1):
+                for subset in itertools.combinations(range(1, 2 * n + 1), size):
+                    mask = sum(1 << (j - 1) for j in subset)
+                    assert canonical_monomial(n, mask) == canonical_monomial(n, subset)
+        with pytest.raises(ValueError):
+            canonical_monomial(2, 1 << 4)
+
     def test_trace_orthogonality(self):
         n = 3
         monos = [canonical_monomial(n, s) for k in range(0, 5) for s in subsets_of_size(2 * n, k)]
@@ -120,6 +129,13 @@ class TestCommutation:
         assert commutation_sign({1, 2}, {3, 4}) == 1
         assert commutation_sign({1, 2}, {2, 3}) == -1
         assert commutation_sign({1}, {1}) == 1
+
+    def test_index_sets_and_masks_agree(self):
+        for a in range(2 ** 6):
+            for b in range(2 ** 6):
+                assert commutation_sign(a, b) == commutation_sign(
+                    [j + 1 for j in range(6) if a >> j & 1], {j + 1 for j in range(6) if b >> j & 1}
+                )
 
     def test_matches_dense_commutator(self):
         n = 3
@@ -206,6 +222,18 @@ class TestMonomialAction:
         assert np.array_equal(np.abs(d), np.ones(2 ** m.n_modes))
         # all entries share one quarter phase up to sign
         assert len({complex(v) for v in d * d}) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_monomial_matches_kronecker_exactly(self, n):
+        basis = np.arange(2 ** n)
+        for support in range(4 ** n):
+            for phase in range(4):
+                m = ScaledMonomial(n, support, phase)
+                flip, d = monomial_action(m)
+                oracle = pauli_dense(to_pauli(m))
+                scattered = np.zeros_like(oracle)
+                scattered[basis ^ flip, basis] = d
+                assert np.array_equal(scattered, oracle), (n, support, phase)
 
     def test_dense_matrix_is_uncached(self):
         m = canonical_monomial(3, [1, 4])

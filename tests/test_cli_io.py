@@ -55,6 +55,24 @@ class TestEnsembleArchive:
         assert meta["pi_cycles"] == [[1], [2, 3], [4, 5], [6]]
         assert meta["sigma_cycles"][1] == [[1, 3], [2, 5], [4, 6]]
 
+    def test_rejects_unknown_format(self, tmp_path, capsys):
+        import zipfile
+
+        path = tmp_path / "ens.zip"
+        io.write_ensemble_archive(path, degree2_ensemble(2))
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        meta = json.loads(members["metadata.json"])
+        meta["format"] = "majorana-jm ensemble v2"
+        members["metadata.json"] = json.dumps(meta).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        with pytest.raises(ValueError, match="format"):
+            io.read_ensemble_archive(path)
+        assert main(["validate", "--ensemble", str(path)]) == 4
+        assert "format" in capsys.readouterr().err
+
 
 class TestStateJson:
     def test_pure_round_trip(self):
@@ -237,6 +255,26 @@ class TestCli:
         )
         assert code == 5
         assert "uncovered" in capsys.readouterr().err
+
+    def test_estimate_round_off_minors_exit5(self, tmp_path, capsys):
+        # the minors of support (1,3) under this rotation are round-off (~1e-17)
+        from majorana_jm.matching import custom_ensemble
+
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        ens_path = tmp_path / "kron.zip"
+        io.write_ensemble_archive(ens_path, custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))]))
+        state_path = tmp_path / "state.json"
+        state = FermionicState.random_pure(2, np.random.default_rng(1))
+        state_path.write_text(io.state_to_json(state))
+        for shots in ("0", "1000"):
+            code = self.run(
+                "estimate", "--state", str(state_path), "--ensemble", str(ens_path),
+                "--targets", "gamma[1,3]", "--shots", shots, "--seed", "3",
+            )
+            assert code == 5
+            assert "uncovered" in capsys.readouterr().err
 
     def test_estimate_dimension_mismatch_exit4(self, tmp_path):
         ens = tmp_path / "ens.zip"

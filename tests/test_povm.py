@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from majorana_jm.algebra import canonical_monomial, dense_matrix
+from majorana_jm.algebra import canonical_monomial, commutation_sign, dense_matrix
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
 from majorana_jm.matching import degree2_ensemble
 from majorana_jm.povm import (
@@ -122,6 +122,16 @@ class TestXStringBijection:
     def test_even_subset_signs(self):
         signs = x_string_from_subset(0b0011, 2)
         assert list(signs) == [-1, -1, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signs_are_commutation_signs(self, n):
+        masks = np.arange(4 ** n, dtype=np.uint64)
+        rows = x_string_from_subset(masks, n)
+        for mask in range(4 ** n):
+            signs = x_string_from_subset(mask, n)
+            assert signs.dtype == np.int8 and np.array_equal(rows[mask], signs)
+            for j in range(2 * n):
+                assert signs[j] == commutation_sign(mask, 1 << j)
 
 
 class TestSharpnessTable:

@@ -217,6 +217,24 @@ def loop_target_signs(batch, table, subset):
     return out
 
 
+def test_sampling_never_goes_through_pauli_letters(monkeypatch):
+    # monomials act through their support bits; to_pauli is only the oracle
+    from majorana_jm import algebra
+
+    def forbidden(m):
+        raise AssertionError("to_pauli called")
+
+    monkeypatch.setattr(algebra, "to_pauli", forbidden)
+    rng = np.random.default_rng(6)
+    parent = ParentPovmSpec(degree2_ensemble(3))
+    table = sharpness_table(parent.ensemble)
+    ham = HamiltonianSpec((((1, 2), 1.0), ((3, 6), -0.5)))
+    for state in (FermionicState.random_pure(3, rng), FermionicState.maximally_mixed(3)):
+        batch = simulate_shots(state, parent, 300, rng)
+        estimate_expectations(batch, table, [(1, 2), (1, 4), (2, 3, 5, 6)], rng=rng)
+        estimate_hamiltonian(batch, table, ham, rng=rng)
+
+
 class TestSignRule:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -296,6 +314,24 @@ class TestEstimators:
         batch = simulate_shots(state, parent, 10, np.random.default_rng(0))
         with pytest.raises(UncoveredTargetError):
             estimate_expectations(batch, table, [(1, 3)])
+
+    def test_round_off_minors_are_uncovered(self):
+        # every minor of support (1,3) under this rotation is round-off (~1e-17)
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        parent = ParentPovmSpec(custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))]))
+        table = sharpness_table(parent.ensemble)
+        assert table.assignment(1, (1, 3))[0] is None
+        assert table.mean_sharpness((1, 3)) == 0.0
+        state = FermionicState.random_pure(2, np.random.default_rng(1))
+        batch = simulate_shots(state, parent, 1000, np.random.default_rng(2))
+        with pytest.raises(UncoveredTargetError):
+            estimate_expectations(batch, table, [(1, 3)])
+        with pytest.raises(UncoveredTargetError):
+            estimate_hamiltonian(batch, table, HamiltonianSpec((((1, 2), 1.0), ((1, 3), 0.5))))
+        with pytest.raises(UncoveredTargetError):
+            exact_expectations(shot_probability_table(state, parent), table, [(1, 3)])
 
     def test_coin_fill_keeps_unbiasedness(self):
         # target covered by one of two rotations only
