@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="incompatibility robustness report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="observable degree")
-    p.add_argument("--budget", type=int, default=None, help="max sections")
+    p.add_argument("--budget", type=int, default=None, help="max sections (0: bounds only)")
     _common(p)
 
     p = sub.add_parser("simulate", help="sample shots of the parent measurement")
@@ -170,7 +170,7 @@ def _cmd_robustness(args):
     from majorana_jm import io
     from majorana_jm.robustness import BRUTE_FORCE_BUDGET, robustness_bruteforce
 
-    budget = args.budget if args.budget else BRUTE_FORCE_BUDGET
+    budget = BRUTE_FORCE_BUDGET if args.budget is None else args.budget
     report = robustness_bruteforce(args.n, args.k, budget=budget)
     status = "budget-exceeded" if report.method == "bound-only" else "ok"
     _emit(args, io.robustness_report_json(report, status=status))

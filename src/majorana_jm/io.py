@@ -134,12 +134,20 @@ def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
         if ensemble.partition is None
         else [list(s) for s in ensemble.partition.subsets],
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("metadata.json", json.dumps(meta, indent=2, sort_keys=True))
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(_zip_entry("metadata.json"), json.dumps(meta, indent=2, sort_keys=True))
         for r, mat in enumerate(ensemble.matrices, start=1):
-            zf.writestr(f"matrix_{r}.txt", matrix_to_text(mat.entries))
+            zf.writestr(_zip_entry(f"matrix_{r}.txt"), matrix_to_text(mat.entries))
         if ensemble.coverage is not None:
-            zf.writestr("coverage.csv", coverage_csv(ensemble.coverage))
+            zf.writestr(_zip_entry("coverage.csv"), coverage_csv(ensemble.coverage))
+
+
+def _zip_entry(name: str) -> zipfile.ZipInfo:
+    # a fixed date instead of the clock keeps seeded archives byte-identical
+    info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+    info.compress_type = zipfile.ZIP_DEFLATED
+    info.external_attr = 0o600 << 16
+    return info
 
 
 def read_ensemble_archive(path) -> MeasurementEnsemble:

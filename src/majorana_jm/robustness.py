@@ -4,7 +4,8 @@ The robustness equals the maximum over sign sections of the operator norm
 of the signed sum of all degree-k observables, divided by their count.
 Degree-2 sections are antisymmetric +-1 matrices (tournaments), whose
 spectra give the norm directly as the sum of the positive imaginary parts;
-the general case diagonalizes the dense signed sum.
+the general case diagonalizes the dense signed sum.  One section search,
+``_search``, enumerates the sections for both.
 
 Section enumeration quotients out the monomial-conjugation sign action by
 fixing every sign whose support contains the first generator.  That
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import canonical_monomial, dense_matrix, monomial_action, subsets_of_size
+from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
 
 __all__ = [
     "SignSection",
     "TournamentMatrix",
     "RobustnessReport",
     "BRUTE_FORCE_BUDGET",
-    "syk_operator",
     "operator_norm",
     "robustness_bruteforce",
     "degree2_norm",
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_BUDGET = 2 ** 20
+# Norms closer than this are ties; the section visited first keeps the lead.
+_NORM_TOL = 1e-9
+_CHUNK = 4096
 _FIRST_OPEN_SKEW_ORDER = 276
 
 
@@ -101,34 +104,15 @@ class TournamentMatrix:
         return self.entries.shape[0]
 
 
-def syk_operator(section: SignSection) -> np.ndarray:
-    """Dense signed sum of all degree-k observables for a section.
-
-    Each term's signed permutation is scattered into one accumulator,
-    ``acc[b ^ flip, b] += s d[b]``.
-    """
-    n = section.n_modes
-    basis = np.arange(2 ** n)
-    acc = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for sign, subset in zip(section.signs, section.supports):
-        flip, d = monomial_action(canonical_monomial(n, subset))
-        acc[basis ^ flip, basis] += sign * d
-    return acc
+def operator_norm(h: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue of each Hermitian matrix on the last two axes."""
+    vals = np.linalg.eigvalsh(h)
+    return np.maximum(vals[..., -1], -vals[..., 0])
 
 
-def operator_norm(h: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix.
-
-    Dense diagonalization below dimension 256, Lanczos above.
-    """
-    if h.shape[0] < 256:
-        vals = np.linalg.eigvalsh(h)
-        return float(max(vals[-1], -vals[0]))
-    from scipy.sparse import linalg as sla
-
-    top = sla.eigsh(h, k=1, which="LA", tol=tol, return_eigenvectors=False)[0]
-    bottom = sla.eigsh(h, k=1, which="SA", tol=tol, return_eigenvectors=False)[0]
-    return float(max(top, -bottom))
+def _spectral_sum(vals: np.ndarray) -> np.ndarray:
+    """Signed-pair-sum norm from the tournament eigenvalues ``eig(iT)``, batched."""
+    return np.abs(vals).sum(axis=-1) / 2.0
 
 
 def tournament_from_section(section: SignSection) -> TournamentMatrix:
@@ -161,8 +145,7 @@ def degree2_norm(t: TournamentMatrix) -> tuple[float, np.ndarray]:
     sum of pair observables.
     """
     vals = np.linalg.eigvalsh(1j * t.entries)
-    lams = vals[vals.shape[0] // 2 :]
-    return float(np.abs(vals).sum() / 2.0), lams
+    return float(_spectral_sum(vals)), vals[vals.shape[0] // 2 :]
 
 
 def tournament_bound_check(t: TournamentMatrix) -> float:
@@ -281,36 +264,20 @@ def skew_hadamard_search(order: int) -> SkewHadamardResult:
     return SkewHadamardResult(order, "unknown", None, "beyond the existence table")
 
 
-def exhaustive_tournament_max(size: int, chunk: int = 8192):
+def exhaustive_tournament_max(size: int):
     """Exact maximum of the spectral sum over every tournament of a size.
 
-    Enumerates all sign assignments of the upper triangle; practical up to
-    size 6 (32768 matrices).
+    Searches the degree-2 sections of ``size / 2`` modes, where player 1
+    beats everyone (a diagonal +-1 conjugation reaches every tournament);
+    practical up to size 6 (1,024 matrices).
     """
-    n_pairs = math.comb(size, 2)
-    if n_pairs > 16:
+    if size % 2:
+        raise ValueError("need an even number of players")
+    found = _search(size // 2, 2, BRUTE_FORCE_BUDGET)
+    if found is None:
         raise ValueError("exhaustive search practical only for size <= 6")
-    pairs = list(itertools.combinations(range(size), 2))
-    best_val, best_bits = -1.0, 0
-    for start in range(0, 2 ** n_pairs, chunk):
-        stop = min(start + chunk, 2 ** n_pairs)
-        block = np.zeros((stop - start, size, size))
-        codes = np.arange(start, stop)
-        for p, (i, j) in enumerate(pairs):
-            sign = 1.0 - 2.0 * ((codes >> p) & 1)
-            block[:, i, j] = sign
-            block[:, j, i] = -sign
-        sums = np.abs(np.linalg.eigvalsh(1j * block)).sum(axis=1) / 2.0
-        top = int(np.argmax(sums))
-        if sums[top] > best_val:
-            best_val = float(sums[top])
-            best_bits = start + top
-    arr = np.zeros((size, size))
-    for p, (i, j) in enumerate(pairs):
-        sign = 1.0 - 2.0 * ((best_bits >> p) & 1)
-        arr[i, j] = sign
-        arr[j, i] = -sign
-    return best_val, TournamentMatrix(arr)
+    best, signs = found
+    return best, tournament_from_section(SignSection(size // 2, 2, signs))
 
 
 def ho_bound(n_modes: int, half_degree: int) -> float:
@@ -352,28 +319,74 @@ class RobustnessReport:
         lower = self.bounds.get("construction_lower")
         upper = self.bounds.get("thm2_upper")
         if self.value is not None:
-            if lower is not None and lower > self.value + 1e-9:
+            if lower is not None and lower > self.value + _NORM_TOL:
                 raise ValueError("lower bound exceeds the exact value")
-            if upper is not None and self.value > upper + 1e-9:
+            if upper is not None and self.value > upper + _NORM_TOL:
                 raise ValueError("exact value exceeds the upper bound")
 
 
-def _reduced_enumeration(n_modes: int, degree: int):
-    """Free/fixed coordinate split for the conjugation-sign quotient."""
+def _section_signs(codes: np.ndarray, free: list[int], n_supports: int) -> np.ndarray:
+    """Sign rows of section codes: bit ``b`` flips free support ``free[b]``."""
+    signs = np.ones((len(codes), n_supports), dtype=np.int64)
+    signs[:, free] = 1 - 2 * ((codes[:, None] >> np.arange(len(free))) & 1)
+    return signs
+
+
+def _search(n_modes: int, degree: int, budget: int) -> tuple[float, tuple[int, ...]] | None:
+    """Largest signed-sum norm over sign sections and the section reaching it.
+
+    Each chunk of sections contracts its sign rows with one stack of terms:
+    the Hermitian tournament units ``i(E_ij - E_ji)`` at degree 2 (norm =
+    spectral sum), the dense monomials otherwise (norm = largest absolute
+    eigenvalue).  Sections are visited in code order and replace the running
+    best only when larger by more than ``_NORM_TOL``, so the first of tied
+    maxima is reported whatever the chunking or the LAPACK round-off.  The
+    search stops once the best is within ``_NORM_TOL / 2`` of the proven
+    upper bound, which no later section can then exceed by ``_NORM_TOL``.
+    Returns None when the sections outnumber ``budget``.
+    """
+    if n_modes < 1 or not 1 <= degree <= 2 * n_modes:
+        raise ValueError(
+            f"need n >= 1 and degree in 1..2n, got n={n_modes}, degree={degree}"
+        )
     supports = subsets_of_size(2 * n_modes, degree)
-    if degree <= 2:
-        fixed = [i for i, s in enumerate(supports) if 1 in s]
+    free = [i for i, s in enumerate(supports) if degree > 2 or 1 not in s]
+    if len(free) >= 63 or 2 ** len(free) > budget:
+        return None
+    if degree == 2:
+        size = 2 * n_modes
+        terms = np.zeros((len(supports), size, size), dtype=complex)
+        for t, (i, j) in enumerate(supports):
+            terms[t, i - 1, j - 1], terms[t, j - 1, i - 1] = 1j, -1j
     else:
-        fixed = []
-    free = [i for i in range(len(supports)) if i not in fixed]
-    return supports, fixed, free
+        terms = np.stack(
+            [dense_matrix(canonical_monomial(n_modes, s)) for s in supports]
+        )
+    upper = thm2_upper_bound(n_modes, degree)
+    ceiling = math.inf if upper is None else upper * len(supports) - _NORM_TOL / 2
+    best, best_code = -math.inf, 0
+    total = 2 ** len(free)
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total))
+        hs = np.tensordot(_section_signs(codes, free, len(supports)), terms, axes=(1, 0))
+        norms = _spectral_sum(np.linalg.eigvalsh(hs)) if degree == 2 else operator_norm(hs)
+        pos = 0
+        while best < ceiling:
+            above = np.flatnonzero(norms[pos:] > best + _NORM_TOL)
+            if not above.size:
+                break
+            pos += int(above[0])
+            best, best_code = float(norms[pos]), start + pos
+        if best >= ceiling:
+            break
+    signs = _section_signs(np.array([best_code]), free, len(supports))[0]
+    return best, tuple(int(v) for v in signs)
 
 
 def robustness_bruteforce(
     n_modes: int,
     degree: int,
     budget: int = BRUTE_FORCE_BUDGET,
-    chunk: int = 4096,
 ) -> RobustnessReport:
     """Exact robustness by maximizing the signed-sum norm over sections.
 
@@ -381,48 +394,16 @@ def robustness_bruteforce(
     antisymmetric eigenproblem each); other degrees diagonalize the dense
     signed sum.  Exceeding the budget yields a bound-only report.
     """
-    supports, fixed, free = _reduced_enumeration(n_modes, degree)
-    n_s = len(supports)
-    if len(free) >= 63 or 2 ** len(free) > budget:
+    found = _search(n_modes, degree, budget)
+    if found is None:
         return build_report(n_modes, degree, method="bound-only")
-    signs = np.ones(n_s, dtype=np.int64)
-    best_val, best_signs = -1.0, None
-    total = 2 ** len(free)
-    if degree == 2:
-        pair_rows = np.array([s[0] - 1 for s in supports])
-        pair_cols = np.array([s[1] - 1 for s in supports])
-    else:
-        mats = np.stack(
-            [dense_matrix(canonical_monomial(n_modes, s)) for s in supports]
-        )
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop)
-        block_signs = np.ones((stop - start, n_s), dtype=np.int64)
-        for b, idx in enumerate(free):
-            block_signs[:, idx] = 1 - 2 * ((codes >> b) & 1)
-        if degree == 2:
-            size = 2 * n_modes
-            es = np.zeros((stop - start, size, size))
-            es[:, pair_rows, pair_cols] = block_signs
-            es -= np.transpose(es, (0, 2, 1))
-            norms = np.abs(np.linalg.eigvalsh(1j * es)).sum(axis=1) / 2.0
-        else:
-            hs = np.tensordot(block_signs.astype(complex), mats, axes=(1, 0))
-            vals = np.linalg.eigvalsh(hs)
-            norms = np.maximum(vals[:, -1], -vals[:, 0])
-        top = int(np.argmax(norms))
-        if norms[top] > best_val:
-            best_val = float(norms[top])
-            best_signs = block_signs[top].copy()
-    section = SignSection(n_modes, degree, tuple(int(v) for v in best_signs))
-    method = "degree2-spectral" if degree == 2 else "brute-force"
+    best, signs = found
     return build_report(
         n_modes,
         degree,
-        method=method,
-        value=best_val / n_s,
-        section=str(section),
+        method="degree2-spectral" if degree == 2 else "brute-force",
+        value=best / len(signs),
+        section=str(SignSection(n_modes, degree, signs)),
     )
 
 

@@ -73,6 +73,18 @@ class TestEnsembleArchive:
         assert main(["validate", "--ensemble", str(path)]) == 4
         assert "format" in capsys.readouterr().err
 
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        import time
+
+        ens = degree2_ensemble(3)
+        blobs = []
+        for second in (1_000_000_000, 1_000_003_601):
+            monkeypatch.setattr(time, "time", lambda: float(second))
+            path = tmp_path / f"ens_{second}.zip"
+            io.write_ensemble_archive(path, ens)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestStateJson:
     def test_pure_round_trip(self):
@@ -190,6 +202,20 @@ class TestCli:
         assert rep["status"] == "budget-exceeded"
         assert rep["value"] is None
         assert rep["bounds"]["thm2_upper"] is not None
+
+    def test_robustness_budget_zero_is_bound_only(self, capsys):
+        assert self.run("robustness", "--n", "2", "--k", "1", "--budget", "0") == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "budget-exceeded"
+        assert rep["method"] == "bound-only"
+        assert rep["value"] is None and rep["section"] is None
+
+    @pytest.mark.parametrize(
+        "n, k", [("2", "5"), ("2", "0"), ("0", "2"), ("-1", "1")]
+    )
+    def test_robustness_out_of_range_exit4(self, n, k, capsys):
+        assert self.run("robustness", "--n", n, "--k", k) == 4
+        assert "degree in 1..2n" in capsys.readouterr().err
 
     def test_simulate_and_estimate(self, tmp_path, capsys):
         ens = tmp_path / "ens.zip"

@@ -1,13 +1,16 @@
 """Tests for section search, tournament spectra and robustness bounds."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from majorana_jm.algebra import subsets_of_size
+from majorana_jm import robustness
+from majorana_jm.algebra import canonical_monomial, pauli_dense, subsets_of_size, to_pauli
 from majorana_jm.robustness import (
+    BRUTE_FORCE_BUDGET,
     RobustnessReport,
     SignSection,
     TournamentMatrix,
@@ -17,16 +20,57 @@ from majorana_jm.robustness import (
     exhaustive_tournament_max,
     ho_bound,
     ho_bound_proven,
-    operator_norm,
     random_tournament,
     robustness_bruteforce,
     section_from_tournament,
     skew_hadamard_search,
-    syk_operator,
     thm2_upper_bound,
     tournament_bound_check,
     tournament_from_section,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _kron_terms(n, degree):
+    """Kronecker-product oracle of every canonical degree-d observable."""
+    return np.stack(
+        [
+            pauli_dense(to_pauli(canonical_monomial(n, s)))
+            for s in subsets_of_size(2 * n, degree)
+        ]
+    )
+
+
+def _kron_norm(n, degree, signs):
+    vals = np.linalg.eigvalsh(np.tensordot(signs, _kron_terms(n, degree), axes=(0, 0)))
+    return max(vals[-1], -vals[0])
+
+
+def _free_supports(n, degree):
+    # at degree <= 2 every support holding generator 1 keeps sign +1
+    supports = subsets_of_size(2 * n, degree)
+    return supports, [i for i, s in enumerate(supports) if degree > 2 or 1 not in s]
+
+
+def _code_signs(n, degree, code):
+    supports, free = _free_supports(n, degree)
+    signs = [1] * len(supports)
+    for b, idx in enumerate(free):
+        if code >> b & 1:
+            signs[idx] = -1
+    return tuple(signs)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_search(n, degree):
+    """Plain loop over every section in code order with the first-wins tie rule."""
+    best, best_signs = -math.inf, None
+    for code in range(2 ** len(_free_supports(n, degree)[1])):
+        signs = _code_signs(n, degree, code)
+        value = _kron_norm(n, degree, np.array(signs, dtype=float))
+        if value > best + 1e-9:
+            best, best_signs = value, signs
+    return best, best_signs
 
 
 class TestSections:
@@ -68,7 +112,7 @@ class TestDegree2Spectrum:
             for _ in range(50):
                 signs = tuple(int(s) for s in rng.choice((1, -1), size=count))
                 section = SignSection(n, 2, signs)
-                dense = operator_norm(syk_operator(section))
+                dense = _kron_norm(n, 2, np.array(signs, dtype=float))
                 total, _ = degree2_norm(tournament_from_section(section))
                 assert abs(dense - total) < 1e-9
 
@@ -107,10 +151,10 @@ class TestBruteForce:
         for degree in (1, 2):
             rep = robustness_bruteforce(n, degree)
             supports = subsets_of_size(2 * n, degree)
-            best = -1.0
-            for signs in itertools.product((1, -1), repeat=len(supports)):
-                val = operator_norm(syk_operator(SignSection(n, degree, signs)))
-                best = max(best, val)
+            best = max(
+                _kron_norm(n, degree, np.array(signs, dtype=float))
+                for signs in itertools.product((1, -1), repeat=len(supports))
+            )
             assert rep.value == pytest.approx(best / len(supports), abs=1e-9)
 
     def test_budget_fallback(self):
@@ -126,11 +170,47 @@ class TestBruteForce:
         assert rep.bounds["thm2_upper"] is None
         assert 0 < rep.value <= 1
 
+    @pytest.mark.parametrize("n, degree", [(2, 5), (2, 0), (0, 2), (-1, 1)])
+    def test_rejects_degree_out_of_range(self, n, degree):
+        with pytest.raises(ValueError, match="degree in 1..2n"):
+            robustness_bruteforce(n, degree)
+
     def test_optimizer_section_reproduces_value(self):
         rep = robustness_bruteforce(2, 2)
         section = SignSection.from_string(2, 2, rep.section)
         total, _ = degree2_norm(tournament_from_section(section))
         assert total / 6 == pytest.approx(rep.value, abs=1e-12)
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("chunk", [1, 7, robustness._CHUNK])
+    @pytest.mark.parametrize(
+        "n, degree", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
+    )
+    def test_search_matches_loop_oracle(self, n, degree, chunk, monkeypatch):
+        monkeypatch.setattr(robustness, "_CHUNK", chunk)
+        best, signs = robustness._search(n, degree, BRUTE_FORCE_BUDGET)
+        expected_best, expected_signs = _loop_search(n, degree)
+        assert signs == expected_signs
+        assert best == pytest.approx(expected_best, abs=1e-12)
+
+    def test_n3_degree4_reports_first_tied_section(self):
+        # 1,280 sections lie within 1e-14 of the maximum; code 80 comes first
+        rep = robustness_bruteforce(3, 4)
+        assert rep.section == str(SignSection(3, 4, _code_signs(3, 4, 80)))
+        assert rep.value == pytest.approx(0.43094010767585, abs=1e-12)
+
+    def test_search_stops_at_the_proven_bound(self, monkeypatch):
+        # n=4: code 85298 is the first of 2,097,152 sections to reach n sqrt(2n-1)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a)
+        )
+        rep = robustness_bruteforce(4, 2, budget=2 ** 21)
+        assert rep.section == str(SignSection(4, 2, _code_signs(4, 2, 85298)))
+        assert rep.value == pytest.approx(thm2_upper_bound(4, 2), abs=1e-12)
+        assert len(calls) == 85298 // robustness._CHUNK + 1
 
 
 class TestSkewHadamard:
@@ -167,6 +247,23 @@ class TestSkewHadamard:
     def test_exhaustive_order6_strict_gap(self):
         best, _ = exhaustive_tournament_max(6)
         assert best < 3 * math.sqrt(5) - 1e-6
+
+    def test_exhaustive_matches_every_tournament(self):
+        # the search fixes player 1's row; all 2^15 order-6 tournaments agree
+        rows, cols = np.triu_indices(6, k=1)
+        codes = np.arange(2 ** len(rows))
+        block = np.zeros((len(codes), 6, 6))
+        block[:, rows, cols] = 1 - 2 * ((codes[:, None] >> np.arange(len(rows))) & 1)
+        block -= np.transpose(block, (0, 2, 1))
+        full = np.abs(np.linalg.eigvalsh(1j * block)).sum(axis=1).max() / 2
+        best, t = exhaustive_tournament_max(6)
+        assert best == pytest.approx(full, abs=1e-12)
+        assert degree2_norm(t)[0] == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [3, 5, 8])
+    def test_exhaustive_rejects_odd_and_large_sizes(self, size):
+        with pytest.raises(ValueError):
+            exhaustive_tournament_max(size)
 
 
 class TestBounds:
