@@ -44,6 +44,7 @@ __all__ = [
     "commutation_sign",
     "to_pauli",
     "pauli_dense",
+    "monomial_bits",
     "monomial_action",
     "parity",
     "apply_monomial",
@@ -70,6 +71,7 @@ ODD_DEGREE_PHASE_NOTE = (
 )
 
 _PHASE_VALUES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_ARRAY = np.array(_PHASE_VALUES)
 _PHASE_LABELS = ("+1", "+i", "-1", "-i")
 
 _PAULI_MATS = {
@@ -278,28 +280,38 @@ def parity(bits) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
+def monomial_bits(n_modes: int, support, phase_quarter):
+    """Integer closed form ``(flip, phase, zmask)`` of ``i**phase_quarter gamma_support``.
+
+    ``gamma |b> = phase (-1)^popcount(b & zmask) |b ^ flip>``.  Elementwise
+    when ``support`` and ``phase_quarter`` are integer arrays.  Generators
+    act right to left; generator ``g`` (0-based) flips qubit ``h = g >> 1``
+    with diagonal ``(-1)^popcount(b & z_g)``, where ``z_g`` holds the qubits
+    below ``h`` plus ``h`` itself and a factor ``i`` when ``g`` is odd
+    (``Y = i X Z``).  Flips made earlier sit on qubits ``>= h`` and never
+    on ``h`` itself for odd ``g``, so they leave the diagonals unchanged: qubit
+    ``h`` flips when one generator of the pair ``(2h, 2h+1)`` is present,
+    ``zmask`` bit ``h`` is the parity of the support above the pair
+    plus the odd generator ``2h+1``, and each odd generator adds one ``i``.
+    """
+    flip = zmask = above = odd = 0
+    for h in reversed(range(n_modes)):
+        even_bit, odd_bit = support >> 2 * h & 1, support >> 2 * h + 1 & 1
+        flip = flip | (even_bit ^ odd_bit) << h
+        zmask = zmask | (above ^ odd_bit) << h
+        above = above ^ even_bit ^ odd_bit
+        odd = odd + odd_bit
+    return flip, _PHASE_ARRAY[(phase_quarter + odd) % 4], zmask
+
+
 def monomial_action(m: ScaledMonomial) -> tuple[int, np.ndarray]:
     """Matrix-free Jordan-Wigner action ``gamma |b> = d[b] |b ^ flip>``.
 
-    Closed form on the support bits, generators applied right to left:
-    generator ``g`` (0-based) flips qubit ``h = g >> 1`` with diagonal
-    ``(-1)^popcount(b & z_g)``, where ``z_g`` holds the qubits below ``h``
-    plus ``h`` itself and a factor ``i`` when ``g`` is odd (``Y = i X Z``);
-    acting after the flips so far contributes ``(-1)^popcount(flip & z_g)``.
+    The diagonal ``d`` spelled out from :func:`monomial_bits`.
     """
-    flip = zmask = 0
-    quarter = m.phase_quarter
-    rest = m.support
-    while rest:
-        g = rest.bit_length() - 1
-        rest ^= 1 << g
-        h = g >> 1
-        z_g = (1 << h) - 1 | (g & 1) << h
-        quarter += (g & 1) + 2 * (flip & z_g).bit_count()
-        flip ^= 1 << h
-        zmask ^= z_g
+    flip, phase, zmask = monomial_bits(m.n_modes, m.support, m.phase_quarter)
     basis = np.arange(2 ** m.n_modes, dtype=np.int64)
-    return flip, _PHASE_VALUES[quarter % 4] * parity(basis & zmask)
+    return flip, phase * parity(basis & zmask)
 
 
 def apply_monomial(m: ScaledMonomial, v: np.ndarray) -> np.ndarray:

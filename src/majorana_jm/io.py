@@ -138,8 +138,7 @@ def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
         zf.writestr(_zip_entry("metadata.json"), json.dumps(meta, indent=2, sort_keys=True))
         for r, mat in enumerate(ensemble.matrices, start=1):
             zf.writestr(_zip_entry(f"matrix_{r}.txt"), matrix_to_text(mat.entries))
-        if ensemble.coverage is not None:
-            zf.writestr(_zip_entry("coverage.csv"), coverage_csv(ensemble.coverage))
+        zf.writestr(_zip_entry("coverage.csv"), coverage_csv(ensemble.coverage))
 
 
 def _zip_entry(name: str) -> zipfile.ZipInfo:
@@ -151,7 +150,7 @@ def _zip_entry(name: str) -> zipfile.ZipInfo:
 
 
 def read_ensemble_archive(path) -> MeasurementEnsemble:
-    """Rebuild an ensemble from an archive, re-running the coverage scan."""
+    """Rebuild an ensemble from an archive; its coverage is rescanned on first access."""
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("metadata.json"))
         if meta.get("format") != _ARCHIVE_FORMAT:

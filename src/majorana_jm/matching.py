@@ -15,7 +15,6 @@ covered through a non-monomial 2x2 minor forced by orthogonality.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -417,7 +416,10 @@ class MeasurementEnsemble:
 
     The partition/matching/permutation fields carry the provenance of the
     structured constructions; ensembles assembled from arbitrary rotations
-    (see :func:`custom_ensemble`) leave them unset.
+    (see :func:`custom_ensemble`) leave them unset.  ``coverage`` is the
+    report a construction certified (``_coverage``) or, when none was
+    given, a scan of the minors made on first access, so consumers that
+    never read coverage never scan.
     """
 
     n_modes: int
@@ -429,9 +431,16 @@ class MeasurementEnsemble:
     sigmas: tuple[np.ndarray | None, ...] | None = None
     seed: int | None = None
     retries: int = 0
-    coverage: CoverageReport | None = None
     block_min_entry: float = 0.0
     within_pairs: tuple[tuple[int, int], ...] = ()
+    _coverage: CoverageReport | None = None
+
+    @cached_property
+    def coverage(self) -> CoverageReport:
+        if self._coverage is not None:
+            return self._coverage
+        table = scan_minors(self.arrays(), self.n_modes, self.degree_k)
+        return CoverageReport(table, self.within_pairs)
 
     @property
     def n_matrices(self) -> int:
@@ -554,9 +563,8 @@ def degree2_ensemble(n_modes: int) -> MeasurementEnsemble:
         block_min_entry=min_entry,
         within_pairs=within,
     )
-    coverage = CoverageReport(scan_minors(ensemble.arrays(), n_modes, 1), within)
-    _certify_degree2(coverage, blocks, partition, within, ensemble.sigmas[-1])
-    return dataclasses.replace(ensemble, coverage=coverage)
+    _certify_degree2(ensemble.coverage, blocks, partition, within, ensemble.sigmas[-1])
+    return ensemble
 
 
 def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
@@ -661,22 +669,6 @@ def degree2k_ensemble(
         sigmas[weakest] = rng.permutation(two_n)
         last = scan(weakest)
         retries += 1
-    matrices = tuple(
-        OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas
-    )
-    ensemble = MeasurementEnsemble(
-        n_modes=n_modes,
-        degree_k=half_degree,
-        matrices=matrices,
-        partition=partition,
-        matching=matching,
-        pi=pi,
-        sigmas=tuple(sigmas),
-        seed=seed,
-        retries=retries,
-        block_min_entry=min_entry,
-        within_pairs=within,
-    )
     # the kept candidates' minors are the ensemble's table: no rescan
     coverage = CoverageReport(MinorTable(half_degree, last.supports, last.row_sets, dets), within)
     if coverage.uncovered:
@@ -685,25 +677,36 @@ def degree2k_ensemble(
         raise CoverageError(
             f"min sharpness {coverage.min_eta:.3e} below bound {threshold:.3e}"
         )
-    return dataclasses.replace(ensemble, coverage=coverage)
+    return MeasurementEnsemble(
+        n_modes=n_modes,
+        degree_k=half_degree,
+        matrices=tuple(OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas),
+        partition=partition,
+        matching=matching,
+        pi=pi,
+        sigmas=tuple(sigmas),
+        seed=seed,
+        retries=retries,
+        block_min_entry=min_entry,
+        within_pairs=within,
+        _coverage=coverage,
+    )
 
 
 def custom_ensemble(
     n_modes: int, half_degree: int, matrices, seed: int | None = None
 ) -> MeasurementEnsemble:
-    """Wrap arbitrary orthogonal rotations as an ensemble with a coverage scan.
+    """Wrap arbitrary orthogonal rotations as an ensemble.
 
-    Supports with all-zero minors are tolerated here (the report flags
-    them); estimation rejects uncovered targets downstream.
+    Its coverage is scanned on first access.  Supports with all-zero minors
+    are tolerated here (the report flags them); estimation rejects
+    uncovered targets downstream.
     """
     mats = tuple(
         m if isinstance(m, OrthogonalMatrix) else OrthogonalMatrix(np.asarray(m, dtype=float))
         for m in matrices
     )
-    coverage = CoverageReport(scan_minors([m.entries for m in mats], n_modes, half_degree))
-    return MeasurementEnsemble(
-        n_modes=n_modes, degree_k=half_degree, matrices=mats, seed=seed, coverage=coverage
-    )
+    return MeasurementEnsemble(n_modes=n_modes, degree_k=half_degree, matrices=mats, seed=seed)
 
 
 def partition_failure_prob(side: int, half_degree: int) -> float:

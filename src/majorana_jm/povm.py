@@ -61,13 +61,9 @@ PARENT_ORACLE_LIMIT = 5
 
 @dataclass(frozen=True)
 class ParentPovmSpec:
-    """A coverage-certified ensemble viewed as a randomized parent POVM."""
+    """An ensemble viewed as a randomized parent POVM."""
 
     ensemble: MeasurementEnsemble
-
-    def __post_init__(self):
-        if self.ensemble.coverage is None:
-            raise ValueError("ensemble must carry a coverage certificate")
 
     @property
     def n_modes(self) -> int:
@@ -281,10 +277,7 @@ class SharpnessTable:
         self.degree_k = ensemble.degree_k
         self.n_matrices = ensemble.n_matrices
         self._arrays = ensemble.arrays()
-        self._tables: dict[int, MinorTable] = {}
-        if ensemble.coverage is not None:
-            self._tables[self.degree_k] = ensemble.coverage.table
-        self._table(self.degree_k)
+        self._tables: dict[int, MinorTable] = {self.degree_k: ensemble.coverage.table}
 
     def _table(self, half: int) -> MinorTable:
         if not 1 <= half <= self.n_modes:

@@ -5,12 +5,23 @@ state, and measures the n commuting pair observables by exact Born
 probabilities.  Estimators post-process the recorded signs; variance for
 the single-rotation setting follows the two-observable marginal formula.
 
-Monomials are applied matrix-free through their Jordan-Wigner action
-(``algebra.monomial_action``), a signed permutation of the basis, so a shot
-group costs one O(2^n) gather plus one matrix-vector product with the
-compiled rotation.  Basis-outcome signs are read off the diagonal of the
-pair monomials' action, never assumed (the pair observable maps to -Z under
-the chosen conventions).
+Shots are grouped by (rotation, monomial) and groups are processed in
+blocks that stay within one rotation.  Monomials are applied matrix-free
+through the closed form of their Jordan-Wigner action
+(``algebra.monomial_bits``), a signed permutation of the basis, so a block
+costs one gather, one parity call and one matrix product with the rotation's
+compiled unitary; only one unitary is held at a time.  A density matrix is
+diagonalized once and its eigenvectors are evolved like pure states.
+Basis-outcome signs are read off the diagonal of the pair monomials'
+action, never assumed (the pair observable maps to -Z under the chosen
+conventions).
+
+Draws: ``Generator.choice(dim, size, p=p)`` takes ``random(size)`` and
+returns ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum()``
+divided by its last entry.  :func:`simulate_shots` draws ``random(n_shots)``
+once, in the order of the sorted groups, and searches each group's cdf the
+same way, so its shots and the generator state afterwards equal those of
+one ``choice`` call per group.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from majorana_jm.algebra import (
     canonical_monomial,
     indices_to_support,
     monomial_action,
+    monomial_bits,
     monomial_trace,
     parity,
 )
@@ -172,24 +184,57 @@ def _pair_sign_table(n_modes: int) -> np.ndarray:
     return table
 
 
-def _conjugated_density(conj_mask: int, rho: np.ndarray, n_modes: int) -> np.ndarray:
-    """``gamma_X rho gamma_X^dag`` by one row and one column gather."""
-    flip, d = monomial_action(canonical_monomial(n_modes, conj_mask))
-    basis = np.arange(len(d)) ^ flip
-    # (gamma rho gamma^dag)[a, b] = d[a^f] rho[a^f, b^f] conj(d[b^f])
-    return (d[:, None] * rho * d.conj())[np.ix_(basis, basis)]
+# Working memory of one block of conjugated vectors ``gamma_X v_j`` (complex).
+_BLOCK_BYTES = 1 << 16
 
 
-def _group_probability(o_unitary, state, conj_mask, n_modes):
+def _eigenstates(state: FermionicState) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, rows)`` with ``rho = sum_j weights[j] |v_j><v_j|``, ``v_j = rows[j]``.
+
+    A pure state is the rank-1 case; a density matrix takes one ``eigh`` and
+    keeps its positive eigenvalues.
+    """
     if state.is_pure:
-        vec = o_unitary @ apply_monomial(canonical_monomial(n_modes, conj_mask), state.vector)
-        probs = np.abs(vec) ** 2
-    else:
-        conjugated = _conjugated_density(conj_mask, state.density_matrix, n_modes)
-        evolved = o_unitary @ conjugated @ o_unitary.conj().T
-        probs = np.real(np.diag(evolved))
+        return np.ones(1), state.vector[None, :]
+    weights, vectors = np.linalg.eigh(state.density_matrix)
+    keep = weights > 0.0
+    return weights[keep], vectors[:, keep].T
+
+
+def _block_size(rows: np.ndarray) -> int:
+    """Masks per block, so that a block holds about ``_BLOCK_BYTES`` of vectors."""
+    return max(1, _BLOCK_BYTES // (16 * rows.size))
+
+
+def _conjugated(rows: np.ndarray, masks, n_modes: int) -> np.ndarray:
+    """``gamma_X v_j`` for every row ``v_j`` and mask ``X``, shape ``(rank, len(masks), 2^n)``.
+
+    ``(gamma_X v)[b] = phase (-1)^|(b ^ flip) & zmask| v[b ^ flip]`` from the
+    masks' closed form: one gather and one parity call per block.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    size = np.bitwise_count(masks).astype(np.int64)
+    # the canonical observable on X carries the phase i**C(|X|, 2)
+    flip, phase, zmask = monomial_bits(n_modes, masks, size * (size - 1) // 2)
+    source = np.arange(2 ** n_modes) ^ flip[:, None]
+    return phase[:, None] * parity(source & zmask[:, None]) * rows[:, source]
+
+
+def _born_cdfs(unitary, weights, rows, masks, n_modes: int) -> np.ndarray:
+    """Cumulative Born distributions of one block of groups under one rotation, ``(G, 2^n)``.
+
+    ``p_X(b) = sum_j w_j |(U gamma_X v_j)_b|^2``, clipped and normalized per
+    group; the cumulative sum is then divided by its last entry, as
+    ``Generator.choice`` does.
+    """
+    block = _conjugated(rows, masks, n_modes)
+    amplitudes = block.reshape(-1, block.shape[-1]) @ unitary.T
+    probs = (weights[:, None, None] * (np.abs(amplitudes) ** 2).reshape(block.shape)).sum(axis=0)
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
 
 
 def simulate_shots(
@@ -199,7 +244,9 @@ def simulate_shots(
 
     Rotation indices and conjugation monomials are drawn uniformly up
     front; shots are then grouped by (rotation, monomial) so each group
-    samples its computational outcomes from one Born distribution.
+    samples its computational outcomes from one Born distribution.  A
+    rotation's unitary is compiled when its first group comes up; rotations
+    that drew no shot are never compiled.
     """
     n = state.n_modes
     if n != parent.n_modes:
@@ -209,22 +256,32 @@ def simulate_shots(
     n_mat = parent.n_matrices
     rs = rng.integers(0, n_mat, size=n_shots)
     masks = rng.integers(0, 2 ** (2 * n), size=n_shots, dtype=np.uint64)
-    q_out = np.empty((n_shots, n), dtype=np.int8)
-    sign_table = _pair_sign_table(n)
-    unitaries = [compile_gaussian_unitary(m.entries, n) for m in parent.ensemble.matrices]
     keys = rs.astype(np.uint64) << np.uint64(2 * n + 1) | masks
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    dim = 2 ** n
-    for g, start in enumerate(boundaries):
-        stop = boundaries[g + 1] if g + 1 < len(boundaries) else n_shots
-        members = order[start:stop]
-        r = int(rs[members[0]])
-        mask = int(masks[members[0]])
-        probs = _group_probability(unitaries[r], state, mask, n)
-        basis = rng.choice(dim, size=len(members), p=probs)
-        q_out[members] = sign_table[:, basis].T
+    first = np.ones(n_shots, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    bounds = np.r_[starts, n_shots]
+    group_r, group_masks = rs[order[starts]], masks[order[starts]]
+    uniforms = rng.random(n_shots)  # the draws of every group's choice call, in group order
+    outcomes = np.empty(n_shots, dtype=np.int64)
+    weights, rows = _eigenstates(state)
+    step = _block_size(rows)
+    edges = np.searchsorted(group_r, np.arange(n_mat + 1))
+    for r in range(n_mat):
+        lo, hi = edges[r], edges[r + 1]
+        if lo == hi:
+            continue
+        unitary = compile_gaussian_unitary(parent.ensemble.matrices[r].entries, n)
+        for b in range(lo, hi, step):
+            cdfs = _born_cdfs(unitary, weights, rows, group_masks[b : min(b + step, hi)], n)
+            for g, cdf in enumerate(cdfs, start=b):
+                shots = slice(bounds[g], bounds[g + 1])
+                outcomes[shots] = cdf.searchsorted(uniforms[shots], side="right")
+        del unitary  # the next compile must not hold two unitaries at once
+    q_out = np.empty((n_shots, n), dtype=np.int8)
+    q_out[order] = _pair_sign_table(n)[:, outcomes].T
     return ShotBatch(n, rs + 1, masks, q_out, seed=seed)
 
 
@@ -459,18 +516,17 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
         o[0] = -o[0]
     u = compile_gaussian_unitary(o, n)
     rotated = u.conj().T @ apply_monomial(canonical_monomial(n, [1]), u)
-    rho = state.density()
+    weights, rows = _eigenstates(state)
     masks = rng.integers(0, 2 ** two_n, size=n_shots, dtype=np.uint64)
-    qs = np.empty((n_shots, 1), dtype=np.int8)
-    means = {}
-    for i, mask in enumerate(masks):
-        key = int(mask)
-        if key not in means:
-            # tr(gamma_X^dag R gamma_X rho) = tr(R gamma_X rho gamma_X^dag)
-            conjugated = _conjugated_density(key, rho, n)
-            means[key] = float(np.real(np.sum(rotated * conjugated.T)))
-        p_plus = (1.0 + means[key]) / 2.0
-        qs[i] = 1 if rng.random() < p_plus else -1
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    means = np.empty(len(distinct))
+    step = _block_size(rows)
+    for b in range(0, len(distinct), step):
+        # tr(gamma_X^dag R gamma_X rho) = sum_j w_j <gamma_X v_j| R |gamma_X v_j>
+        block = _conjugated(rows, distinct[b : b + step], n)
+        means[b : b + step] = weights @ np.real(np.sum(block.conj() * (block @ rotated.T), axis=-1))
+    p_plus = (1.0 + means[inverse]) / 2.0
+    qs = np.where(rng.random(n_shots) < p_plus, 1, -1).astype(np.int8)[:, None]
     return qs * x_string_from_subset(masks, n)
 
 

@@ -22,6 +22,7 @@ from majorana_jm.algebra import (
     dense_matrix,
     identity_monomial,
     monomial_action,
+    monomial_bits,
     monomial_from_str,
     monomial_product,
     monomial_trace,
@@ -222,6 +223,15 @@ class TestMonomialAction:
         assert np.array_equal(np.abs(d), np.ones(2 ** m.n_modes))
         # all entries share one quarter phase up to sign
         assert len({complex(v) for v in d * d}) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bits_elementwise_over_arrays(self, n):
+        # the block sampler feeds whole mask arrays through the same closed form
+        supports = np.repeat(np.arange(4 ** n), 4)
+        quarters = np.tile(np.arange(4), 4 ** n)
+        flip, phase, zmask = monomial_bits(n, supports, quarters)
+        for i, (support, quarter) in enumerate(zip(supports.tolist(), quarters.tolist())):
+            assert (flip[i], phase[i], zmask[i]) == monomial_bits(n, support, quarter)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_monomial_matches_kronecker_exactly(self, n):

@@ -405,6 +405,33 @@ class TestCli:
         # the archive's degree-2 table is rescanned on load; degree 4 once, lazily
         assert halves == [1, 2]
 
+    def test_simulate_never_scans_minors(self, tmp_path, monkeypatch):
+        from majorana_jm import matching, povm
+
+        calls = []
+        scan_minors = matching.scan_minors
+
+        def counted(arrays, n_modes, half_degree):
+            calls.append(half_degree)
+            return scan_minors(arrays, n_modes, half_degree)
+
+        monkeypatch.setattr(matching, "scan_minors", counted)
+        monkeypatch.setattr(povm, "scan_minors", counted)
+        archive = str(tmp_path / "ens.zip")
+        assert self.run("construct", "--n", "6", "--k", "2", "--seed", "3", "--out", archive) == 0
+        state_path = tmp_path / "state.json"
+        state = FermionicState.random_pure(6, np.random.default_rng(5))
+        state_path.write_text(io.state_to_json(state))
+        calls.clear()
+        out = tmp_path / "shots.csv"
+        assert self.run(
+            "simulate", "--state", str(state_path), "--ensemble", archive,
+            "--shots", "300", "--seed", "2", "--out", str(out),
+        ) == 0
+        # simulate reads no coverage, so the archive's minors are never scanned
+        assert calls == []
+        assert len(out.read_text().splitlines()) == 301
+
 
 class TestMixedDegreeHamiltonian:
     def test_table_serves_multiple_degrees(self):

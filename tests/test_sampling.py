@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from majorana_jm import sampling
 from majorana_jm.algebra import (
     ScaledMonomial,
+    apply_monomial,
     canonical_monomial,
     pauli_dense,
     subsets_of_size,
@@ -39,7 +41,7 @@ from majorana_jm.sampling import (
     simulate_degree1_shots,
     simulate_shots,
 )
-from majorana_jm.sampling import _effective_sharpness, _group_probability, _target_signs
+from majorana_jm.sampling import _born_cdfs, _effective_sharpness, _eigenstates, _target_signs
 
 
 def bin_shots(batch, n, n_matrices):
@@ -154,11 +156,13 @@ class TestMatrixFreeAgainstDense:
         n = 3
         state = FermionicState.random_pure(n, rng) if pure else random_mixed(n, rng)
         u = compile_gaussian_unitary(random_orthogonal(2 * n, rng), n)
-        for mask in range(0, 4 ** n, 5):
+        masks = np.arange(0, 4 ** n, 5, dtype=np.uint64)
+        cdfs = _born_cdfs(u, *_eigenstates(state), masks, n)
+        for mask, cdf in zip(masks.tolist(), cdfs):
             gx = pauli_dense(to_pauli(ScaledMonomial(n, mask, math.comb(mask.bit_count(), 2))))
             evolved = u @ gx @ state.density() @ gx.conj().T @ u.conj().T
             expected = np.real(np.diag(evolved))
-            got = _group_probability(u, state, mask, n)
+            got = np.diff(cdf, prepend=0.0)
             assert np.max(np.abs(got - expected / expected.sum())) < 1e-12
 
     def test_probability_table_rekeys_by_x_string(self):
@@ -199,6 +203,92 @@ class TestMatrixFreeAgainstDense:
                         total += probs[r - 1, mask, q_idx] * math.copysign(1.0, det) * x_s * q_r
             expected = total / table.mean_sharpness(subset)
             assert rec.estimate == pytest.approx(expected, abs=1e-12)
+
+
+def per_group_shots(state, parent, n_shots, rng):
+    """Oracle sampler: one Born distribution and one ``rng.choice`` per shot group."""
+    n = state.n_modes
+    rs = rng.integers(0, parent.n_matrices, size=n_shots)
+    masks = rng.integers(0, 2 ** (2 * n), size=n_shots, dtype=np.uint64)
+    # outcome signs of the n pair observables, from their Kronecker products
+    pairs = [kron_dense(n, [2 * j + 1, 2 * j + 2]) for j in range(n)]
+    signs = np.array([np.rint(np.real(np.diag(p))) for p in pairs], dtype=np.int8)
+    unitaries = [compile_gaussian_unitary(m.entries, n) for m in parent.ensemble.matrices]
+    q = np.empty((n_shots, n), dtype=np.int8)
+    keys = rs.astype(np.uint64) << np.uint64(2 * n + 1) | masks
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    for start, stop in zip(starts, np.r_[starts[1:], n_shots]):
+        members = order[start:stop]
+        u = unitaries[int(rs[members[0]])]
+        g = canonical_monomial(n, int(masks[members[0]]))
+        if state.is_pure:
+            probs = np.abs(u @ apply_monomial(g, state.vector)) ** 2
+        else:
+            # gamma rho gamma^dag = gamma (gamma rho)^dag for Hermitian rho
+            conjugated = apply_monomial(g, apply_monomial(g, state.density_matrix).conj().T)
+            probs = np.real(np.diag(u @ conjugated @ u.conj().T))
+        probs = np.clip(probs, 0.0, None)
+        q[members] = signs[:, rng.choice(2 ** n, size=len(members), p=probs / probs.sum())].T
+    return rs + 1, masks, q
+
+
+class TestBatchedSamplerAgainstPerGroupOracle:
+    @settings(max_examples=25, deadline=None)
+    # groups of thousands of shots; singleton groups; a density state at n=6
+    @example(n=1, n_rotations=2, pure=True, shots=100_000, block_bytes=1, seed=1)
+    @example(n=6, n_rotations=3, pure=True, shots=50, block_bytes=512, seed=2)
+    @example(n=6, n_rotations=2, pure=False, shots=5_000, block_bytes=1 << 16, seed=3)
+    @example(n=3, n_rotations=3, pure=False, shots=20_000, block_bytes=512, seed=4)
+    @given(
+        n=st.integers(1, 6),
+        n_rotations=st.integers(1, 3),
+        pure=st.booleans(),
+        shots=st.integers(1, 100_000),
+        block_bytes=st.sampled_from([1, 512, 1 << 16]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_same_shots_and_generator_state(self, n, n_rotations, pure, shots, block_bytes, seed):
+        rng = np.random.default_rng(seed)
+        mats = [random_orthogonal(2 * n, rng).entries for _ in range(n_rotations)]
+        parent = ParentPovmSpec(custom_ensemble(n, 1, mats))
+        if pure:
+            state = FermionicState.random_pure(n, rng)
+        else:
+            # random rank, so that the eigenvector sum is sometimes rank-deficient
+            shape = (2 ** n, int(rng.integers(1, 2 ** n + 1)))
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rho = a @ a.conj().T
+            state = FermionicState(n, density_matrix=rho / np.trace(rho))
+        batched, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        # small blocks split one rotation's groups over several blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_BLOCK_BYTES", block_bytes)
+            batch = simulate_shots(state, parent, shots, batched)
+        r, masks, q = per_group_shots(state, parent, shots, oracle)
+        assert np.array_equal(batch.r, r)
+        assert np.array_equal(batch.conj_mask, masks)
+        assert np.array_equal(batch.q, q)
+        assert batched.bit_generator.state == oracle.bit_generator.state
+
+
+def test_compiles_only_rotations_that_drew_shots(monkeypatch):
+    calls = []
+    compile_unitary = sampling.compile_gaussian_unitary
+
+    def counted(o, n_modes):
+        calls.append(n_modes)
+        return compile_unitary(o, n_modes)
+
+    monkeypatch.setattr(sampling, "compile_gaussian_unitary", counted)
+    rng = np.random.default_rng(31)
+    parent = ParentPovmSpec(
+        custom_ensemble(2, 1, [random_orthogonal(4, rng).entries for _ in range(3)])
+    )
+    batch = simulate_shots(FermionicState.random_pure(2, rng), parent, 1, rng)
+    assert len(batch) == 1
+    assert calls == [2]
 
 
 def loop_target_signs(batch, table, subset):
