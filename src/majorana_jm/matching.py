@@ -304,19 +304,21 @@ def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
 
 
 class MinorTable:
-    """Every minor ``det(O_{R,S})`` of an ensemble at one degree.
+    """Each rotation's reductions of its minors ``det(O_{R,S})`` at one degree.
 
-    ``dets[r, i, j]`` is the signed minor of matrix ``r`` (0-based) on the
-    diagonal row set ``row_sets[i]`` and the support ``supports[j]``, so the
-    table holds ``N C(n,k) C(2n,2k)`` floats.  Coverage and sharpness are
-    reductions of this one array; :func:`scan_minors` builds it.
+    ``per_matrix`` is ``(best, minors)``, both ``(N, nS)``: for matrix ``r``
+    (0-based) and support ``supports[j]``, the diagonal row set
+    ``row_sets[best[r, j]]`` maximizes ``|det|`` rounded to 12 decimals (the
+    first row set winning ties) and ``minors[r, j]`` is its signed minor.
+    Coverage, sharpness and the sign rule read only these, as
+    ``eta_S = max_R |det(O_{R,S})|``.
     """
 
-    def __init__(self, half_degree: int, supports, row_sets, dets: np.ndarray):
+    def __init__(self, half_degree: int, supports, row_sets, best: np.ndarray, minors: np.ndarray):
         self.half_degree = half_degree
         self.supports = supports
         self.row_sets = row_sets
-        self.dets = dets
+        self.per_matrix = (best, minors)
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -326,37 +328,22 @@ class MinorTable:
     def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Best ``(eta, r, rows index)`` per support over the whole ensemble.
 
-        Candidates are visited in ``(r, R)`` order and replace the running
-        best only when larger by more than ``COVERAGE_TOL``, so near-ties go
-        to the lexicographically smallest ``(r, R)``.  Uncovered supports keep
+        Each matrix's winner is visited in ``r`` order and replaces the
+        running best only when larger by more than ``COVERAGE_TOL``, so
+        near-ties go to the smallest ``r``.  Uncovered supports keep
         ``eta = 0`` and index ``-1``.
         """
+        winners, minors = self.per_matrix
         n_s = len(self.supports)
         eta = np.zeros(n_s)
         best_r = np.full(n_s, -1, dtype=np.int64)
         best_rows = np.full(n_s, -1, dtype=np.int64)
-        for r, dets in enumerate(self.dets):
-            for i, minors in enumerate(np.abs(dets)):
-                better = minors > eta + COVERAGE_TOL
-                eta[better] = minors[better]
-                best_r[better] = r
-                best_rows[better] = i
+        for r, (rows, vals) in enumerate(zip(winners, np.abs(minors))):
+            better = vals > eta + COVERAGE_TOL
+            eta[better] = vals[better]
+            best_r[better] = r
+            best_rows[better] = rows[better]
         return eta, best_r, best_rows
-
-    @cached_property
-    def per_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Best rows index and its signed minor per matrix and support, ``(N, nS)`` each.
-
-        Each matrix maximizes ``|det|`` rounded to 12 decimals over the row
-        sets, the first row set winning ties.
-        """
-        columns = np.arange(len(self.supports))
-        best = np.empty((len(self.dets), len(columns)), dtype=np.int64)
-        vals = np.empty(best.shape)
-        for r, dets in enumerate(self.dets):
-            best[r] = np.argmax(np.abs(np.round(dets, 12)), axis=0)
-            vals[r] = dets[best[r], columns]
-        return best, vals
 
 
 @dataclass(frozen=True)
@@ -365,35 +352,30 @@ class CoverageRow:
     r: int | None  # 1-based matrix index, None if uncovered
     rows: tuple[int, ...] | None
     eta: float
-    path: str = "monomial"
 
 
 class CoverageReport:
     """Per-support best minor of an ensemble, with uncovered supports flagged.
 
     A view of the ensemble's :class:`MinorTable`: each row is the table's
-    global best ``(r, R)``, and supports listed in ``within_pairs`` take the
-    ``same-subset`` path.
+    global best ``(r, R)``, read off the per-matrix winners.
     """
 
-    def __init__(self, table: MinorTable, within_pairs=()):
+    def __init__(self, table: MinorTable):
         self.table = table
         self.degree = 2 * table.half_degree
-        within = {frozenset(p) for p in within_pairs}
         eta, r_idx, rows_idx = table.best
         rows = []
         for s_i, subset in enumerate(table.supports):
             if eta[s_i] <= COVERAGE_TOL:
                 rows.append(CoverageRow(subset, None, None, 0.0))
                 continue
-            path = "same-subset" if frozenset(subset) in within else "monomial"
             rows.append(
                 CoverageRow(
                     subset,
                     int(r_idx[s_i]) + 1,
                     table.row_sets[int(rows_idx[s_i])],
                     float(eta[s_i]),
-                    path,
                 )
             )
         self.rows = tuple(rows)
@@ -439,16 +421,11 @@ class MeasurementEnsemble:
     def coverage(self) -> CoverageReport:
         if self._coverage is not None:
             return self._coverage
-        table = scan_minors(self.arrays(), self.n_modes, self.degree_k)
-        return CoverageReport(table, self.within_pairs)
+        return CoverageReport(scan_minors(self.arrays(), self.n_modes, self.degree_k))
 
     @property
     def n_matrices(self) -> int:
         return len(self.matrices)
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / len(self.matrices)
 
     def arrays(self) -> list[np.ndarray]:
         return [m.entries for m in self.matrices]
@@ -595,15 +572,24 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
 
 
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
-    """The :class:`MinorTable` of ``arrays`` over every size-2k support."""
+    """The :class:`MinorTable` of ``arrays`` over every size-2k support.
+
+    Only one matrix's ``(C(n,k), C(2n,2k))`` block of minors is held at a
+    time; it is reduced to its best row set and signed minor per support
+    before the next matrix is scanned.
+    """
     supports = list(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
     row_sets = diag_index_sets(n_modes, half_degree)
     cols = np.array(supports, dtype=np.int64) - 1  # (nS, 2k)
     rows = np.array(row_sets, dtype=np.int64) - 1  # (nR, 2k)
-    dets = np.empty((len(arrays), len(row_sets), len(supports)))
+    columns = np.arange(len(supports))
+    best = np.empty((len(arrays), len(supports)), dtype=np.int64)
+    minors = np.empty(best.shape)
     for r, arr in enumerate(arrays):
-        dets[r] = minor_dets(arr, rows, cols)
-    return MinorTable(half_degree, supports, row_sets, dets)
+        dets = minor_dets(arr, rows, cols)
+        best[r] = np.argmax(np.abs(np.round(dets, 12)), axis=0)
+        minors[r] = dets[best[r], columns]
+    return MinorTable(half_degree, supports, row_sets, best, minors)
 
 
 def is_generated(subset, partition_blocks) -> bool:
@@ -645,18 +631,17 @@ def degree2k_ensemble(
     threshold = min_entry ** (2 * half_degree)
 
     def scan(i: int) -> MinorTable:
-        # candidate i's minors go to its slot of the ensemble's table; beside
-        # them only its coverage mask (best minor meets the bound) is kept
+        # candidate i's reductions go to its row of the ensemble's table;
+        # beside them only its coverage mask (best minor meets the bound) is kept
         table = scan_minors([o1 @ permutation_matrix(sigmas[i])], n_modes, half_degree)
-        dets[i] = table.dets[0]
-        covered[i] = table.best[0] >= threshold - 1e-12
+        best[i], minors[i] = (a[0] for a in table.per_matrix)
+        covered[i] = np.abs(minors[i]) >= threshold - 1e-12
         return table
 
     sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
-    dets = np.empty(
-        (n_matrices, math.comb(n_modes, half_degree), math.comb(two_n, 2 * half_degree))
-    )
-    covered = np.empty((n_matrices, dets.shape[2]), dtype=bool)
+    best = np.empty((n_matrices, math.comb(two_n, 2 * half_degree)), dtype=np.int64)
+    minors = np.empty(best.shape)
+    covered = np.empty(best.shape, dtype=bool)
     for i in range(n_matrices):
         last = scan(i)
     retries = 0
@@ -669,8 +654,8 @@ def degree2k_ensemble(
         sigmas[weakest] = rng.permutation(two_n)
         last = scan(weakest)
         retries += 1
-    # the kept candidates' minors are the ensemble's table: no rescan
-    coverage = CoverageReport(MinorTable(half_degree, last.supports, last.row_sets, dets), within)
+    # the kept candidates' reductions are the ensemble's table: no rescan
+    coverage = CoverageReport(MinorTable(half_degree, last.supports, last.row_sets, best, minors))
     if coverage.uncovered:
         raise CoverageError(f"uncovered supports remain: {coverage.uncovered[:5]}")
     if coverage.min_eta < threshold - 1e-12:

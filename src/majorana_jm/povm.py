@@ -262,10 +262,10 @@ class SharpnessRow:
 class SharpnessTable:
     """Per-observable sharpness bookkeeping for an ensemble.
 
-    A view of the ensemble's :class:`MinorTable`: ``rows`` carry the table's
-    best (r, R) per observable of the primary degree with the lexicographic
-    tie-break; per-matrix assignments (best R and signed minor for every
-    matrix separately) drive the estimators.  Other even degrees are scanned
+    A view of the ensemble's :class:`MinorTable`: per-matrix assignments
+    (each rotation's best R and signed minor) drive the estimators, and
+    ``rows`` carry the best (r, R) per observable of the primary degree
+    among those winners, ties to the smallest r.  Other even degrees are scanned
     lazily on first access, so mixed-degree Hamiltonians share one table.
     ``eta_effective`` divides by the number of matrices; ``mean_sharpness``
     gives the exact sharpness of the uniformly randomized parent, which is

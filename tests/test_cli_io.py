@@ -402,7 +402,8 @@ class TestCli:
             "--targets", "gamma[1,2]", "--hamiltonian", str(ham_path),
             "--shots", "0", "--out", str(tmp_path / "exact.json"),
         ) == 0
-        # the archive's degree-2 table is rescanned on load; degree 4 once, lazily
+        # the archive's degree-2 table is scanned when estimate builds its
+        # sharpness table, degree 4 once, lazily
         assert halves == [1, 2]
 
     def test_simulate_never_scans_minors(self, tmp_path, monkeypatch):
@@ -483,3 +484,12 @@ def test_simulate_peak_memory(tmp_path):
         tmp_path,
     )
     assert peak < 500.0, f"simulate peaked at {peak:.0f} MB"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_construct_peak_memory(tmp_path):
+    """n=12, k=2 construct keeps each rotation's reductions, not all N*66*10626 minors."""
+    peak = _cli_peak_rss_mb(
+        ["construct", "--n", "12", "--k", "2", "--seed", "1", "--out", "ens.zip"], tmp_path
+    )
+    assert peak < 80.0, f"construct peaked at {peak:.0f} MB"
