@@ -292,14 +292,42 @@ def diag_index_sets(n_modes: int, half_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _components(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column labels of the connected components of ``arr != 0``.
+
+    The graph is bipartite, rows on one side and columns on the other, with
+    an edge per nonzero entry.  Each component is labelled by its smallest
+    row index (min-label propagation until nothing changes); a zero column
+    gets the label ``len(arr)``, which no row carries.
+    """
+    nz = arr != 0
+    n_rows = len(arr)
+    row_lab = np.arange(n_rows)
+    while True:
+        col_lab = np.where(nz, row_lab[:, None], n_rows).min(axis=0)
+        new = np.minimum(row_lab, np.where(nz, col_lab, n_rows).min(axis=1))
+        if np.array_equal(new, row_lab):
+            return row_lab, col_lab
+        row_lab = new
+
+
 def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Signed ``det(arr[R, S])`` for the 0-based index sets ``R`` in ``rows``, ``S`` in ``cols``.
 
-    One row set at a time, so only ``len(cols)`` small matrices are held at once.
+    A minor can be nonzero only when ``R`` and ``S`` meet every connected
+    component of ``arr != 0`` equally often, that is when their sorted
+    component labels agree; every other entry is exactly ``0.0``.  Only the
+    matching minors go through ``np.linalg.det``, one row set at a time, so
+    each value is the one a scan of every minor gives.  A dense matrix is
+    one component, and then every minor is evaluated.
     """
-    out = np.empty((len(rows), len(cols)))
+    row_lab, col_lab = _components(arr)
+    row_keys = np.sort(row_lab[rows], axis=1)
+    col_keys = np.sort(col_lab[cols], axis=1)
+    out = np.zeros((len(rows), len(cols)))
     for i, r in enumerate(rows):
-        out[i] = np.linalg.det(arr[r[None, :, None], cols[:, None, :]])
+        match = (col_keys == row_keys[i]).all(axis=1)
+        out[i, match] = np.linalg.det(arr[r[None, :, None], cols[match][:, None, :]])
     return out
 
 
@@ -575,8 +603,11 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
     Only one matrix's ``(C(n,k), C(2n,2k))`` block of minors is held at a
-    time; it is reduced to its best row set and signed minor per support
-    before the next matrix is scanned.
+    time, with :func:`minor_dets` evaluating only the minors that the
+    matrix's block structure allows; the block is reduced to its best row
+    set and signed minor per support before the next matrix is scanned.
+    The block's rounded magnitudes are taken in place in one support-major
+    copy, so the scan holds about two blocks at its peak.
     """
     supports = list(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
     row_sets = diag_index_sets(n_modes, half_degree)
@@ -587,7 +618,9 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     minors = np.empty(best.shape)
     for r, arr in enumerate(arrays):
         dets = minor_dets(arr, rows, cols)
-        best[r] = np.argmax(np.abs(np.round(dets, 12)), axis=0)
+        rounded = dets.T.copy()  # C order: one support per row
+        np.abs(np.round(rounded, 12, out=rounded), out=rounded)
+        best[r] = np.argmax(rounded, axis=1)
         minors[r] = dets[best[r], columns]
     return MinorTable(half_degree, supports, row_sets, best, minors)
 

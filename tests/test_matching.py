@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from majorana_jm.matching import (
     degree2k_ensemble,
     diag_index_sets,
     is_generated,
+    minor_dets,
     partition_failure_prob,
     permutation_cycles,
     permutation_matrix,
@@ -222,7 +224,16 @@ def _loop_reductions(dets):
 def _rotation(kind, size, rng):
     if kind == "random":
         return random_orthogonal(size, rng).entries
-    base = np.eye(size) if kind == "permutation" else lower_flat(size).entries
+    if kind == "blocks":
+        # a direct sum of lower-flat blocks of random sizes
+        base = np.zeros((size, size))
+        at = 0
+        while at < size:
+            width = int(rng.integers(1, size - at + 1))
+            base[at : at + width, at : at + width] = lower_flat(width).entries
+            at += width
+    else:
+        base = np.eye(size) if kind == "permutation" else lower_flat(size).entries
     signed = base * rng.choice((-1.0, 1.0), size)
     return signed[rng.permutation(size)][:, rng.permutation(size)]
 
@@ -260,11 +271,12 @@ class TestMinorTable:
         half=st.integers(1, 2),
         seed=st.integers(0, 2 ** 32 - 1),
         layout=st.sampled_from([(0,), (0, 1), (0, 0), (0, 1, 0)]),
-        kind=st.sampled_from(["random", "permutation", "lower_flat"]),
+        kind=st.sampled_from(["random", "permutation", "lower_flat", "blocks"]),
     )
     def test_matches_submatrix_dets_and_loop_oracle(self, n, half, seed, layout, kind):
-        # repeated matrices tie exactly; signed permutations and permuted
-        # lower-flat matrices tie exactly or, at n = 3 and 5, within rounding
+        # repeated matrices tie exactly; signed permutations, permuted
+        # lower-flat matrices and direct sums of lower-flat blocks tie
+        # exactly or, at n = 3 and 5, within rounding
         rng = np.random.default_rng(seed)
         base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
         arrays = [base[b] for b in layout]
@@ -290,6 +302,68 @@ class TestMinorTable:
             assert row.r == best_r[s_i] + 1
             assert abs(row.eta - eta[s_i]) < 1e-12
             assert row.rows == table.row_sets[best_rows[s_i]]
+
+
+def _dense_minor_dets(arr, rows, cols):
+    """Every minor through ``np.linalg.det``, one row set at a time."""
+    out = np.empty((len(rows), len(cols)))
+    for i, r in enumerate(rows):
+        out[i] = np.linalg.det(arr[r[None, :, None], cols[:, None, :]])
+    return out
+
+
+class TestMinorDets:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        half=st.integers(1, 2),
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(["random", "permutation", "lower_flat", "blocks"]),
+    )
+    def test_bitwise_equal_to_dense_oracle(self, n, half, seed, kind):
+        # the skipped minors must be the oracle's exact +0.0 and the rest its
+        # very bits, so a -0.0 or a last-bit change fails
+        arr = _rotation(kind, 2 * n, np.random.default_rng(seed))
+        sets = np.array(list(itertools.combinations(range(2 * n), 2 * half)))
+        got = minor_dets(arr, sets, sets)
+        assert np.array_equal(got.view(np.int64), _dense_minor_dets(arr, sets, sets).view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["degree2k", "random"])
+    def test_evaluates_only_the_minors_the_blocks_allow(self, monkeypatch, kind):
+        # a degree-2k rotation is P_pi D with permuted columns, so few row
+        # set and support pairs meet its blocks equally; a dense rotation
+        # is one block and goes through every minor
+        if kind == "degree2k":
+            arr = degree2k_ensemble(10, 2, seed=1).arrays()[0]
+        else:
+            arr = random_orthogonal(20, np.random.default_rng(1)).entries
+        det = np.linalg.det
+        counted = []
+
+        def counting(a):
+            counted.append(len(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        scan_minors([arr], 10, 2)
+        share = sum(counted) / (math.comb(10, 2) * math.comb(20, 4))
+        if kind == "degree2k":
+            assert 0 < share <= 0.05
+        else:
+            assert share == 1.0
+
+    def test_scan_peaks_near_two_blocks_of_minors(self):
+        # one rotation's block of minors and its rounded support-major copy,
+        # plus index arrays far smaller than a block
+        arr = random_orthogonal(24, np.random.default_rng(1)).entries
+        block = math.comb(12, 2) * math.comb(24, 4) * 8
+        tracemalloc.start()
+        try:
+            scan_minors([arr], 12, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block
 
 
 class TestPartitionCombinatorics:
