@@ -12,7 +12,7 @@ import numpy as np
 from majorana_jm.algebra import subsets_of_size
 from majorana_jm.gaussian import random_orthogonal
 from majorana_jm.matching import custom_ensemble, degree2_ensemble
-from majorana_jm.povm import ParentPovmSpec, sharpness_table
+from majorana_jm.povm import sharpness_table
 from majorana_jm.sampling import (
     FermionicState,
     HamiltonianSpec,
@@ -26,10 +26,10 @@ from majorana_jm.sampling import (
 rng = np.random.default_rng(2024)
 n = 3
 state = FermionicState.random_pure(n, rng)
-parent = ParentPovmSpec(degree2_ensemble(n))
-table = sharpness_table(parent.ensemble)
+ensemble = degree2_ensemble(n)
+table = sharpness_table(ensemble)
 
-batch = simulate_shots(state, parent, 100_000, rng)
+batch = simulate_shots(state, ensemble, 100_000, rng)
 print(f"simulated {len(batch)} shots on {n} modes")
 print(f"{'target':>10} {'estimate':>10} {'exact':>10} {'sigma':>7}")
 for rec in estimate_expectations(batch, table, subsets_of_size(2 * n, 2), rng=rng):
@@ -44,10 +44,10 @@ print(f"\nenergy estimate {energy.estimate:.4f} +- {energy.stderr:.4f}"
 
 # single-rotation parent: the variance formula applies
 o = random_orthogonal(2 * n, rng)
-single = ParentPovmSpec(custom_ensemble(n, 1, [o]))
+single = custom_ensemble(n, 1, [o])
 pred = predicted_variance(ham, o.entries, state)
 big = simulate_shots(state, single, 400_000, rng)
-single_table = sharpness_table(single.ensemble)
+single_table = sharpness_table(single)
 energy1 = estimate_hamiltonian(big, single_table, ham, rng=rng)
 emp = energy1.stderr ** 2 * len(big)
 print(f"single-rotation variance: empirical {emp:.4f} vs predicted {pred:.4f}")

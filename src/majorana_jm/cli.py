@@ -73,17 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, help="inclusive range, e.g. 2:12")
     p.add_argument("--k", type=int, default=1, help="half-degree")
     _common(p)
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
+def _apply_config(parser, argv, args):
+    """Parse again with the config file's values as the command's defaults.
+
+    A value from the file replaces a flag's default; a flag given on the
+    command line still wins.
+    """
+    if args.config:
         with open(args.config) as fh:
             conf = json.load(fh)
-        for key, value in conf.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
+        parser.commands[args.command].set_defaults(**{k.replace("-", "_"): v for k, v in conf.items()})
+        args = parser.parse_args(argv)
     return args
 
 
@@ -184,11 +188,10 @@ def _load_state(args):
         return io.state_from_json(fh.read())
 
 
-def _load_parent(args):
+def _load_ensemble(args):
     from majorana_jm import io
-    from majorana_jm.povm import ParentPovmSpec
 
-    return ParentPovmSpec(io.read_ensemble_archive(args.ensemble))
+    return io.read_ensemble_archive(args.ensemble)
 
 
 def _cmd_simulate(args):
@@ -197,11 +200,11 @@ def _cmd_simulate(args):
 
     _require_seed(args)
     state = _load_state(args)
-    parent = _load_parent(args)
-    if state.n_modes != parent.n_modes:
+    ensemble = _load_ensemble(args)
+    if state.n_modes != ensemble.n_modes:
         raise ValueError("state and ensemble dimensions differ")
     batch = simulate_shots(
-        state, parent, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
+        state, ensemble, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
     )
     _emit(args, io.shot_log_csv(batch))
     return EXIT_OK
@@ -233,9 +236,13 @@ def _cmd_estimate(args):
         simulate_shots,
     )
 
+    if args.shots < 0 or args.shots == 1:
+        raise ValueError("--shots must be 0 (exact mode) or at least 2 (a standard error needs two)")
+    if args.shot_log and args.shots == 0:
+        raise ValueError("--shot-log needs sampled shots: the exact mode (--shots 0) draws none")
     state = _load_state(args)
-    parent = _load_parent(args)
-    if state.n_modes != parent.n_modes:
+    ensemble = _load_ensemble(args)
+    if state.n_modes != ensemble.n_modes:
         raise ValueError("state and ensemble dimensions differ")
     targets = []
     ham = None
@@ -249,7 +256,7 @@ def _cmd_estimate(args):
         )
     if not targets and ham is None:
         raise ValueError("nothing to estimate: give --targets and/or --hamiltonian")
-    table = sharpness_table(parent.ensemble)
+    table = sharpness_table(ensemble)
     meta = {"shots": args.shots, "seed": args.seed, "n": state.n_modes}
     ham_terms = [s for s, _ in ham.terms] if ham else []
     uncovered = [
@@ -263,7 +270,7 @@ def _cmd_estimate(args):
     ham_record = None
     if args.shots == 0:
         # one probability table and one sharpness table for targets and terms
-        probs = shot_probability_table(state, parent)
+        probs = shot_probability_table(state, ensemble)
         records = exact_expectations(probs, table, list(targets) + ham_terms)
         records, term_records = records[: len(targets)], records[len(targets) :]
         if ham:
@@ -273,7 +280,7 @@ def _cmd_estimate(args):
     else:
         _require_seed(args)
         batch = simulate_shots(
-            state, parent, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
+            state, ensemble, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
         )
         coin_rng = io.rng_for(args.seed, "coins")
         records = estimate_expectations(batch, table, targets, rng=coin_rng)
@@ -283,10 +290,10 @@ def _cmd_estimate(args):
             with open(args.shot_log, "w") as fh:
                 fh.write(io.shot_log_csv(batch))
         meta["mode"] = "sampled"
-    if ham and parent.n_matrices == 1:
+    if ham and ensemble.n_matrices == 1:
         import dataclasses
 
-        pred = predicted_variance(ham, parent.ensemble.matrices[0].entries, state)
+        pred = predicted_variance(ham, ensemble.matrices[0].entries, state)
         ham_record = dataclasses.replace(ham_record, predicted_variance=pred)
     _emit(args, io.estimation_report_json(records, ham_record, meta))
     return EXIT_OK
@@ -298,6 +305,8 @@ def _cmd_compare(args):
 
     lo, _, hi = args.n_range.partition(":")
     n_values = range(int(lo), int(hi or lo) + 1)
+    if not n_values or n_values.start < 1:
+        raise ValueError(f"--n-range {args.n_range!r} must be lo:hi with 1 <= lo <= hi")
     seed = args.seed if args.seed is not None else 0
     rows = comparison_rows(n_values, args.k, construction_seed=seed)
     _emit(args, io.comparison_csv(rows))
@@ -316,9 +325,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(parser, argv, args)
         return _HANDLERS[args.command](args)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

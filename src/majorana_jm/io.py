@@ -19,8 +19,8 @@ import zlib
 import numpy as np
 
 from majorana_jm.matching import (
-    CoverageReport,
     MeasurementEnsemble,
+    MinorTable,
     custom_ensemble,
     permutation_cycles,
 )
@@ -76,11 +76,11 @@ def read_matrix_text(path) -> np.ndarray:
         return matrix_from_text(fh.read())
 
 
-def coverage_csv(report: CoverageReport) -> str:
+def coverage_csv(table: MinorTable) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["S", "r", "R", "eta"])
-    for row in report.rows:
+    for row in table.rows:
         writer.writerow(
             [
                 "[" + ",".join(map(str, row.subset)) + "]",
@@ -93,6 +93,7 @@ def coverage_csv(report: CoverageReport) -> str:
 
 
 def sharpness_csv(table) -> str:
+    """One row per support; an uncovered support reads ``r = 0`` and ``R = []``."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["S", "r", "R", "eta_RS", "eta_S", "eta_effective"])
@@ -100,11 +101,11 @@ def sharpness_csv(table) -> str:
         writer.writerow(
             [
                 "[" + ",".join(map(str, row.subset)) + "]",
-                row.r,
-                "[" + ",".join(map(str, row.rows)) + "]",
-                format(row.eta_s, ".17g"),  # eta_RS: the best (r, R) minor is eta_S
-                format(row.eta_s, ".17g"),
-                format(row.eta_effective, ".17g"),
+                row.r or 0,
+                "[" + ",".join(map(str, row.rows or ())) + "]",
+                format(row.eta, ".17g"),  # eta_RS: the best (r, R) minor is eta_S
+                format(row.eta, ".17g"),
+                format(row.eta / table.n_matrices, ".17g"),  # eta_effective = eta_S / N
             ]
         )
     return buf.getvalue()

@@ -30,7 +30,6 @@ __all__ = [
     "PerfectMatching",
     "MeasurementEnsemble",
     "CoverageRow",
-    "CoverageReport",
     "CoverageError",
     "COVERAGE_TOL",
     "MinorTable",
@@ -331,6 +330,14 @@ def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return out
 
 
+@dataclass(frozen=True)
+class CoverageRow:
+    subset: tuple[int, ...]
+    r: int | None  # 1-based matrix index, None if uncovered
+    rows: tuple[int, ...] | None
+    eta: float
+
+
 class MinorTable:
     """Each rotation's reductions of its minors ``det(O_{R,S})`` at one degree.
 
@@ -339,7 +346,8 @@ class MinorTable:
     ``row_sets[best[r, j]]`` maximizes ``|det|`` rounded to 12 decimals (the
     first row set winning ties) and ``minors[r, j]`` is its signed minor.
     Coverage, sharpness and the sign rule read only these, as
-    ``eta_S = max_R |det(O_{R,S})|``.
+    ``eta_S = max_R |det(O_{R,S})|``; ``rows`` is the coverage certificate,
+    one :class:`CoverageRow` per support with uncovered supports flagged.
     """
 
     def __init__(self, half_degree: int, supports, row_sets, best: np.ndarray, minors: np.ndarray):
@@ -373,40 +381,16 @@ class MinorTable:
             best_rows[better] = rows[better]
         return eta, best_r, best_rows
 
-
-@dataclass(frozen=True)
-class CoverageRow:
-    subset: tuple[int, ...]
-    r: int | None  # 1-based matrix index, None if uncovered
-    rows: tuple[int, ...] | None
-    eta: float
-
-
-class CoverageReport:
-    """Per-support best minor of an ensemble, with uncovered supports flagged.
-
-    A view of the ensemble's :class:`MinorTable`: each row is the table's
-    global best ``(r, R)``, read off the per-matrix winners.
-    """
-
-    def __init__(self, table: MinorTable):
-        self.table = table
-        self.degree = 2 * table.half_degree
-        eta, r_idx, rows_idx = table.best
-        rows = []
-        for s_i, subset in enumerate(table.supports):
-            if eta[s_i] <= COVERAGE_TOL:
-                rows.append(CoverageRow(subset, None, None, 0.0))
-                continue
-            rows.append(
-                CoverageRow(
-                    subset,
-                    int(r_idx[s_i]) + 1,
-                    table.row_sets[int(rows_idx[s_i])],
-                    float(eta[s_i]),
-                )
-            )
-        self.rows = tuple(rows)
+    @cached_property
+    def rows(self) -> tuple[CoverageRow, ...]:
+        """The global best ``(r, R)`` and ``eta`` per support, in support order."""
+        eta, r_idx, rows_idx = self.best
+        return tuple(
+            CoverageRow(subset, int(r_idx[j]) + 1, self.row_sets[int(rows_idx[j])], float(eta[j]))
+            if eta[j] > COVERAGE_TOL
+            else CoverageRow(subset, None, None, 0.0)
+            for j, subset in enumerate(self.supports)
+        )
 
     @property
     def uncovered(self) -> tuple[tuple[int, ...], ...]:
@@ -417,7 +401,7 @@ class CoverageReport:
         return min((row.eta for row in self.rows), default=0.0)
 
     def row_for(self, subset) -> CoverageRow:
-        return self.rows[self.table.index[tuple(subset)]]
+        return self.rows[self.index[tuple(subset)]]
 
 
 @dataclass(frozen=True)
@@ -427,9 +411,9 @@ class MeasurementEnsemble:
     The partition/matching/permutation fields carry the provenance of the
     structured constructions; ensembles assembled from arbitrary rotations
     (see :func:`custom_ensemble`) leave them unset.  ``coverage`` is the
-    report a construction certified (``_coverage``) or, when none was
-    given, a scan of the minors made on first access, so consumers that
-    never read coverage never scan.
+    :class:`MinorTable` a construction certified (``_coverage``) or, when
+    none was given, a scan of the minors made on first access, so consumers
+    that never read coverage never scan.
     """
 
     n_modes: int
@@ -443,13 +427,13 @@ class MeasurementEnsemble:
     retries: int = 0
     block_min_entry: float = 0.0
     within_pairs: tuple[tuple[int, int], ...] = ()
-    _coverage: CoverageReport | None = None
+    _coverage: MinorTable | None = None
 
     @cached_property
-    def coverage(self) -> CoverageReport:
+    def coverage(self) -> MinorTable:
         if self._coverage is not None:
             return self._coverage
-        return CoverageReport(scan_minors(self.arrays(), self.n_modes, self.degree_k))
+        return scan_minors(self.arrays(), self.n_modes, self.degree_k)
 
     @property
     def n_matrices(self) -> int:
@@ -688,12 +672,12 @@ def degree2k_ensemble(
         last = scan(weakest)
         retries += 1
     # the kept candidates' reductions are the ensemble's table: no rescan
-    coverage = CoverageReport(MinorTable(half_degree, last.supports, last.row_sets, best, minors))
-    if coverage.uncovered:
-        raise CoverageError(f"uncovered supports remain: {coverage.uncovered[:5]}")
-    if coverage.min_eta < threshold - 1e-12:
+    table = MinorTable(half_degree, last.supports, last.row_sets, best, minors)
+    if table.uncovered:
+        raise CoverageError(f"uncovered supports remain: {table.uncovered[:5]}")
+    if table.min_eta < threshold - 1e-12:
         raise CoverageError(
-            f"min sharpness {coverage.min_eta:.3e} below bound {threshold:.3e}"
+            f"min sharpness {table.min_eta:.3e} below bound {threshold:.3e}"
         )
     return MeasurementEnsemble(
         n_modes=n_modes,
@@ -707,7 +691,7 @@ def degree2k_ensemble(
         retries=retries,
         block_min_entry=min_entry,
         within_pairs=within,
-        _coverage=coverage,
+        _coverage=table,
     )
 
 
@@ -717,7 +701,7 @@ def custom_ensemble(
     """Wrap arbitrary orthogonal rotations as an ensemble.
 
     Its coverage is scanned on first access.  Supports with all-zero minors
-    are tolerated here (the report flags them); estimation rejects
+    are tolerated here (its ``uncovered`` lists them); estimation rejects
     uncovered targets downstream.
     """
     mats = tuple(

@@ -28,6 +28,7 @@ from majorana_jm.algebra import (
 )
 from majorana_jm.matching import (
     COVERAGE_TOL,
+    CoverageRow,
     MeasurementEnsemble,
     MinorTable,
     diag_index_sets,
@@ -37,8 +38,6 @@ from majorana_jm.matching import (
 
 __all__ = [
     "PARENT_ORACLE_LIMIT",
-    "ParentPovmSpec",
-    "SharpnessRow",
     "SharpnessTable",
     "PovmReport",
     "minor_terms",
@@ -57,25 +56,6 @@ __all__ = [
 ]
 
 PARENT_ORACLE_LIMIT = 5
-
-
-@dataclass(frozen=True)
-class ParentPovmSpec:
-    """An ensemble viewed as a randomized parent POVM."""
-
-    ensemble: MeasurementEnsemble
-
-    @property
-    def n_modes(self) -> int:
-        return self.ensemble.n_modes
-
-    @property
-    def degree_k(self) -> int:
-        return self.ensemble.degree_k
-
-    @property
-    def n_matrices(self) -> int:
-        return self.ensemble.n_matrices
 
 
 def x_string_from_subset(mask: int, n_modes: int) -> np.ndarray:
@@ -250,26 +230,16 @@ def marginal_effect(o_arr, rows, cols, outcome: int, n_modes: int) -> np.ndarray
     return (count * np.eye(dim) + total) / 2 ** (3 * n_modes)
 
 
-@dataclass(frozen=True)
-class SharpnessRow:
-    subset: tuple[int, ...]
-    r: int  # 1-based matrix index of the best minor
-    rows: tuple[int, ...]
-    eta_s: float
-    eta_effective: float  # eta_s / N, the worst-case randomization discount
-
-
 class SharpnessTable:
     """Per-observable sharpness bookkeeping for an ensemble.
 
-    A view of the ensemble's :class:`MinorTable`: per-matrix assignments
-    (each rotation's best R and signed minor) drive the estimators, and
-    ``rows`` carry the best (r, R) per observable of the primary degree
-    among those winners, ties to the smallest r.  Other even degrees are scanned
-    lazily on first access, so mixed-degree Hamiltonians share one table.
-    ``eta_effective`` divides by the number of matrices; ``mean_sharpness``
-    gives the exact sharpness of the uniformly randomized parent, which is
-    at least as large.
+    Reads the ensemble's :class:`MinorTable`: per-matrix assignments (each
+    rotation's best R and signed minor) drive the estimators, and ``rows``
+    are the primary degree's coverage rows, the best (r, R) per observable
+    among those winners, ties to the smallest r.  Other even degrees are
+    scanned lazily on first access, so mixed-degree Hamiltonians share one
+    table.  ``mean_sharpness`` gives the exact sharpness of the uniformly
+    randomized parent, at least the worst-case discount ``eta_S / N``.
     """
 
     def __init__(self, ensemble: MeasurementEnsemble):
@@ -277,7 +247,7 @@ class SharpnessTable:
         self.degree_k = ensemble.degree_k
         self.n_matrices = ensemble.n_matrices
         self._arrays = ensemble.arrays()
-        self._tables: dict[int, MinorTable] = {self.degree_k: ensemble.coverage.table}
+        self._tables: dict[int, MinorTable] = {self.degree_k: ensemble.coverage}
 
     def _table(self, half: int) -> MinorTable:
         if not 1 <= half <= self.n_modes:
@@ -293,28 +263,13 @@ class SharpnessTable:
         table = self._table(len(key) // 2)
         return table, table.index[key]
 
-    def _row(self, table: MinorTable, i: int) -> SharpnessRow:
-        eta, r_idx, rows_idx = table.best
-        r_best = int(r_idx[i])
-        return SharpnessRow(
-            subset=table.supports[i],
-            r=r_best + 1,
-            rows=table.row_sets[int(rows_idx[i])] if r_best >= 0 else (),
-            eta_s=float(eta[i]),
-            eta_effective=float(eta[i]) / self.n_matrices,
-        )
-
     @property
-    def supports(self) -> list[tuple[int, ...]]:
-        return self._table(self.degree_k).supports
+    def rows(self) -> tuple[CoverageRow, ...]:
+        return self._table(self.degree_k).rows
 
-    @property
-    def rows(self) -> list[SharpnessRow]:
-        table = self._table(self.degree_k)
-        return [self._row(table, i) for i in range(len(table.supports))]
-
-    def row_for(self, subset) -> SharpnessRow:
-        return self._row(*self._locate(subset))
+    def row_for(self, subset) -> CoverageRow:
+        table, i = self._locate(subset)
+        return table.rows[i]
 
     def mean_sharpness(self, subset) -> float:
         """Sharpness of the uniformly randomized parent for this observable.
@@ -334,16 +289,11 @@ class SharpnessTable:
         return (table.row_sets[int(best[r - 1, i])] if abs(det) > COVERAGE_TOL else None), det
 
     @property
-    def min_sharpness(self) -> float:
-        return float(self._table(self.degree_k).best[0].min())
-
-    @property
     def min_mean_sharpness(self) -> float:
         return float(np.abs(self._table(self.degree_k).per_matrix[1]).mean(axis=0).min())
 
 
-def sharpness_table(spec: ParentPovmSpec | MeasurementEnsemble) -> SharpnessTable:
-    ensemble = spec.ensemble if isinstance(spec, ParentPovmSpec) else spec
+def sharpness_table(ensemble: MeasurementEnsemble) -> SharpnessTable:
     return SharpnessTable(ensemble)
 
 

@@ -42,9 +42,9 @@ from majorana_jm.algebra import (
     parity,
 )
 from majorana_jm.gaussian import compile_gaussian_unitary, submatrix_det
+from majorana_jm.matching import MeasurementEnsemble
 from majorana_jm.povm import (
     PARENT_ORACLE_LIMIT,
-    ParentPovmSpec,
     SharpnessTable,
     sharpness_table,
     two_observable_correlation,
@@ -238,7 +238,7 @@ def _born_cdfs(unitary, weights, rows, masks, n_modes: int) -> np.ndarray:
 
 
 def simulate_shots(
-    state: FermionicState, parent: ParentPovmSpec, n_shots: int, rng, seed: int | None = None
+    state: FermionicState, ensemble: MeasurementEnsemble, n_shots: int, rng, seed: int | None = None
 ) -> ShotBatch:
     """Sample shots of the randomized parent measurement.
 
@@ -249,11 +249,11 @@ def simulate_shots(
     that drew no shot are never compiled.
     """
     n = state.n_modes
-    if n != parent.n_modes:
+    if n != ensemble.n_modes:
         raise ValueError("state and ensemble mode counts differ")
     if n > DENSE_LIMIT:
         raise ValueError("dense simulation gated by the dense limit")
-    n_mat = parent.n_matrices
+    n_mat = ensemble.n_matrices
     rs = rng.integers(0, n_mat, size=n_shots)
     masks = rng.integers(0, 2 ** (2 * n), size=n_shots, dtype=np.uint64)
     keys = rs.astype(np.uint64) << np.uint64(2 * n + 1) | masks
@@ -273,7 +273,7 @@ def simulate_shots(
         lo, hi = edges[r], edges[r + 1]
         if lo == hi:
             continue
-        unitary = compile_gaussian_unitary(parent.ensemble.matrices[r].entries, n)
+        unitary = compile_gaussian_unitary(ensemble.matrices[r].entries, n)
         for b in range(lo, hi, step):
             cdfs = _born_cdfs(unitary, weights, rows, group_masks[b : min(b + step, hi)], n)
             for g, cdf in enumerate(cdfs, start=b):
@@ -285,7 +285,7 @@ def simulate_shots(
     return ShotBatch(n, rs + 1, masks, q_out, seed=seed)
 
 
-def shot_probability_table(state: FermionicState, parent: ParentPovmSpec):
+def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble):
     """Exact joint distribution over (rotation, monomial mask, q-index).
 
     Oracle for distribution tests; gated to the dense-parent regime.
@@ -296,14 +296,14 @@ def shot_probability_table(state: FermionicState, parent: ParentPovmSpec):
     if n > PARENT_ORACLE_LIMIT:
         raise ValueError("oracle gated to small n")
     rho = state.density()
-    n_mat = parent.n_matrices
+    n_mat = ensemble.n_matrices
     # the x-string table is indexed by sign-string bits; re-key it by mask:
     # x_j = -1 iff |X| - [j in X] is odd, so odd masks map to their complement
     masks = np.arange(4 ** n)
     odd = (np.bitwise_count(masks) & 1).astype(bool)
     x_idx = np.where(odd, masks ^ (4 ** n - 1), masks)
     table = np.stack(
-        [outcome_probabilities(mat.entries, rho, n)[x_idx] for mat in parent.ensemble.matrices]
+        [outcome_probabilities(mat.entries, rho, n)[x_idx] for mat in ensemble.matrices]
     )
     return table / n_mat
 
@@ -424,8 +424,8 @@ def estimate_hamiltonian(
 def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> list[EstimationRecord]:
     """Analytic estimator expectations from the exact outcome table (no sampling).
 
-    ``probs`` is :func:`shot_probability_table` of the state and parent that
-    ``table`` describes.  Enumerates every outcome of every rotation, so it
+    ``probs`` is :func:`shot_probability_table` of the state and ensemble
+    that ``table`` describes.  Enumerates every outcome of every rotation, so it
     doubles as an unbiasedness oracle: the result equals ``tr(gamma_S rho)``
     exactly for covered targets.
     """

@@ -25,7 +25,7 @@ from majorana_jm.matching import (
     partition_failure_prob,
     random_partition_batch,
 )
-from majorana_jm.povm import ParentPovmSpec, parent_validate, sharpness_table
+from majorana_jm.povm import parent_validate, sharpness_table
 from majorana_jm.robustness import (
     appendix_tournament_4,
     degree2_norm,
@@ -173,10 +173,10 @@ def test_criterion_06_tournament_spectrum():
 def test_criterion_07_estimator_statistics():
     n = 3
     rng = np.random.default_rng(707)
-    parent = ParentPovmSpec(degree2_ensemble(n))
+    ens = degree2_ensemble(n)
     state = FermionicState.random_pure(n, rng)
-    batch = simulate_shots(state, parent, 100_000, rng)
-    table = sharpness_table(parent.ensemble)
+    batch = simulate_shots(state, ens, 100_000, rng)
+    table = sharpness_table(ens)
     recs = estimate_expectations(batch, table, subsets_of_size(2 * n, 2), rng=rng)
     worst_dev = 0.0
     for rec in recs:
@@ -192,7 +192,7 @@ def test_criterion_07_estimator_statistics():
     single = custom_ensemble(n, 1, [o])
     hamiltonian = HamiltonianSpec((((1, 2), 0.8), ((1, 3), -0.5), ((2, 5), 0.4)))
     pred = predicted_variance(hamiltonian, o.entries, state)
-    big = simulate_shots(state, ParentPovmSpec(single), 1_000_000, rng)
+    big = simulate_shots(state, single, 1_000_000, rng)
     stab = sharpness_table(single)
     per_shot = np.zeros(len(big.r))
     for subset, coeff in hamiltonian.terms:

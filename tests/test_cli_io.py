@@ -14,7 +14,7 @@ import majorana_jm
 from majorana_jm import io
 from majorana_jm.cli import main
 from majorana_jm.matching import degree2_ensemble
-from majorana_jm.povm import ParentPovmSpec, sharpness_table
+from majorana_jm.povm import sharpness_table
 from majorana_jm.sampling import FermionicState, HamiltonianSpec, simulate_shots
 
 
@@ -104,9 +104,8 @@ class TestStateJson:
 
 class TestShotLog:
     def test_format(self):
-        parent = ParentPovmSpec(degree2_ensemble(2))
         state = FermionicState.basis_state(2)
-        batch = simulate_shots(state, parent, 4, np.random.default_rng(0))
+        batch = simulate_shots(state, degree2_ensemble(2), 4, np.random.default_rng(0))
         text = io.shot_log_csv(batch)
         lines = text.strip().splitlines()
         assert lines[0] == "shot_id,r,x_bits,q_bits"
@@ -115,6 +114,35 @@ class TestShotLog:
         assert int(r) in (1, 2)
         assert int(xb, 16) < 2 ** 4
         assert int(qb, 16) < 2 ** 2
+
+
+class TestCoverageAndSharpnessCsv:
+    def test_exact_text_with_uncovered_supports(self):
+        from majorana_jm.matching import custom_ensemble
+
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        # the minors of (1,3) and (2,4) are round-off, so both are uncovered
+        ens = custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))])
+        assert io.coverage_csv(ens.coverage) == (
+            "S,r,R,eta\n"
+            '"[1,2]",1,"[1,2]",0.91266780745483911\n'
+            '"[1,3]",,,0\n'
+            '"[1,4]",1,"[1,2]",0.28232123669751763\n'
+            '"[2,3]",1,"[1,2]",0.28232123669751763\n'
+            '"[2,4]",,,0\n'
+            '"[3,4]",1,"[3,4]",0.91266780745483911\n'
+        )
+        assert io.sharpness_csv(sharpness_table(ens)) == (
+            "S,r,R,eta_RS,eta_S,eta_effective\n"
+            '"[1,2]",1,"[1,2]",0.91266780745483911,0.91266780745483911,0.91266780745483911\n'
+            '"[1,3]",0,[],0,0,0\n'
+            '"[1,4]",1,"[1,2]",0.28232123669751763,0.28232123669751763,0.28232123669751763\n'
+            '"[2,3]",1,"[1,2]",0.28232123669751763,0.28232123669751763,0.28232123669751763\n'
+            '"[2,4]",0,[],0,0,0\n'
+            '"[3,4]",1,"[3,4]",0.91266780745483911,0.91266780745483911,0.91266780745483911\n'
+        )
 
 
 class TestRngSubstreams:
@@ -186,6 +214,9 @@ class TestCli:
         lines = table_path.read_text().strip().splitlines()
         assert lines[0] == "S,r,R,eta_RS,eta_S,eta_effective"
         assert len(lines) == 1 + math.comb(4, 2)
+        for line in lines[1:]:
+            _, eta_s, eta_effective = line.rsplit(",", 2)
+            assert float(eta_effective) == float(eta_s) / 2  # eta_S / N, N = 2 rotations
 
     def test_robustness_values(self, tmp_path, capsys):
         assert self.run("robustness", "--n", "2", "--k", "2") == 0
@@ -302,6 +333,26 @@ class TestCli:
             assert code == 5
             assert "uncovered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [("--shots", "1"), ("--shots", "-3"), ("--shots", "0", "--shot-log", "shots.csv")]
+    )
+    def test_estimate_rejects_unusable_shot_counts(self, tmp_path, monkeypatch, capsys, flags):
+        # one shot has no standard error, and the exact mode draws no shots to log
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--targets", "gamma[1,2]", "--seed", "3", *flags,
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input: --shot" in captured.err
+        assert not (tmp_path / "shots.csv").exists()
+
     def test_estimate_dimension_mismatch_exit4(self, tmp_path):
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
@@ -316,6 +367,12 @@ class TestCli:
     def test_missing_file_exit2(self, tmp_path):
         code = self.run("validate", "--ensemble", str(tmp_path / "missing.zip"))
         assert code == 2
+
+    @pytest.mark.parametrize("n_range", ["5:3", "0:3"])
+    def test_compare_rejects_empty_or_nonpositive_range(self, n_range, capsys):
+        assert self.run("compare", "--n-range", n_range, "--k", "1") == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-range" in captured.err
 
     def test_compare_csv(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -355,6 +412,27 @@ class TestCli:
         ) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["status"] == "budget-exceeded"
+
+    def test_config_replaces_defaults_and_flags_still_win(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"k": 2, "shots": 500}))
+        archive = str(tmp_path / "ens.zip")
+        for n, flags, k in (("6", (), 2), ("2", ("--k", "1"), 1)):
+            assert self.run(
+                "construct", "--n", n, "--seed", "1", *flags, "--config", str(conf), "--out", archive
+            ) == 0
+            assert json.loads(capsys.readouterr().out)["k"] == k
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        rep = tmp_path / "est.json"
+        for flags, mode in (((), "sampled"), (("--shots", "0"), "exact")):
+            assert self.run(
+                "estimate", "--state", str(state_path), "--ensemble", archive,
+                "--targets", "gamma[1,2]", "--seed", "3", *flags,
+                "--config", str(conf), "--out", str(rep),
+            ) == 0
+            report = json.loads(rep.read_text())
+            assert report["mode"] == mode and report["shots"] == (500 if flags == () else 0)
 
     def test_each_command_scans_minors_once(self, tmp_path, monkeypatch, capsys):
         from majorana_jm import matching, povm
@@ -442,7 +520,7 @@ class TestMixedDegreeHamiltonian:
         eta4 = table.mean_sharpness((1, 2, 3, 4))
         assert eta4 >= 0.0
         row = table.row_for((1, 3))
-        assert row.eta_s == pytest.approx(0.5, abs=1e-12)
+        assert row.eta == pytest.approx(0.5, abs=1e-12)
 
 
 # Starts the CLI from a small interpreter and prints that child's exit code

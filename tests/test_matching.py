@@ -188,20 +188,6 @@ class TestDegree2kEnsemble:
             assert np.array_equal(ma.entries, mb.entries)
 
 
-class TestCoverageReport:
-    def test_identity_ensemble_covers_exactly_diag(self):
-        table = scan_minors([np.eye(6)], 3, 1)
-        covered = {s for s, e in zip(table.supports, table.best[0]) if e > 1e-12}
-        assert covered == set(diag_index_sets(3, 1))
-
-    def test_tie_break_is_lexicographic(self):
-        # two identical matrices: ties resolve to the first matrix, smallest rows
-        ens = degree2_ensemble(3)
-        arrays = [ens.matrices[0].entries, ens.matrices[0].entries.copy()]
-        eta, r_idx, _ = scan_minors(arrays, 3, 1).best
-        assert np.all(r_idx[eta > 1e-12] == 0)
-
-
 def _loop_reductions(dets):
     """Plain-loop oracle of the coverage chain and the per-matrix argmax."""
     n_mat, n_r, n_s = dets.shape
@@ -285,9 +271,21 @@ class TestMinorTable:
         assert len(table.supports) == math.comb(2 * n, 2 * half)
         _assert_matches_oracle(table, _full_minors(arrays, table))
 
+    def test_identity_ensemble_covers_exactly_diag(self):
+        table = scan_minors([np.eye(6)], 3, 1)
+        covered = {s for s, e in zip(table.supports, table.best[0]) if e > 1e-12}
+        assert covered == set(diag_index_sets(3, 1))
+
+    def test_tie_break_is_lexicographic(self):
+        # two identical matrices: ties resolve to the first matrix, smallest rows
+        ens = degree2_ensemble(3)
+        arrays = [ens.matrices[0].entries, ens.matrices[0].entries.copy()]
+        eta, r_idx, _ = scan_minors(arrays, 3, 1).best
+        assert np.all(r_idx[eta > 1e-12] == 0)
+
     def test_degree2k_table_is_the_stack_of_its_candidates(self):
         ens = degree2k_ensemble(6, 2, 9, seed=7)
-        table = ens.coverage.table
+        table = ens.coverage
         rescanned = scan_minors(ens.arrays(), 6, 2)
         assert table.supports == rescanned.supports
         assert table.row_sets == rescanned.row_sets
@@ -298,7 +296,7 @@ class TestMinorTable:
         # its minors tie within COVERAGE_TOL across rotations, so this also
         # pins the tolerance of the coverage chain
         eta, best_r, best_rows = _assert_matches_oracle(table, _full_minors(ens.arrays(), table))
-        for s_i, row in enumerate(ens.coverage.rows):
+        for s_i, row in enumerate(table.rows):
             assert row.r == best_r[s_i] + 1
             assert abs(row.eta - eta[s_i]) < 1e-12
             assert row.rows == table.row_sets[best_rows[s_i]]

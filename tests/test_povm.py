@@ -10,7 +10,6 @@ from majorana_jm.algebra import canonical_monomial, commutation_sign, dense_matr
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
 from majorana_jm.matching import degree2_ensemble
 from majorana_jm.povm import (
-    ParentPovmSpec,
     degree1_marginal,
     degree1_parent_effect,
     effect_table,
@@ -136,12 +135,12 @@ class TestXStringBijection:
 
 class TestSharpnessTable:
     def test_degree2_worked_example(self):
-        tab = sharpness_table(ParentPovmSpec(degree2_ensemble(3)))
+        ens = degree2_ensemble(3)
+        tab = sharpness_table(ens)
         assert len(tab.rows) == 15
         for row in tab.rows:
-            assert row.eta_s == pytest.approx(0.5, abs=1e-12)
-            assert row.eta_effective == pytest.approx(0.25, abs=1e-12)
-        assert tab.min_sharpness == pytest.approx(0.5, abs=1e-12)
+            assert row.eta == pytest.approx(0.5, abs=1e-12)
+        assert ens.coverage.min_eta == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_sharpness_accounts_for_overlap(self):
         tab = sharpness_table(degree2_ensemble(3))

@@ -20,7 +20,6 @@ from majorana_jm.algebra import (
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
 from majorana_jm.matching import custom_ensemble, degree2_ensemble
 from majorana_jm.povm import (
-    ParentPovmSpec,
     outcome_probabilities,
     sharpness_table,
     x_string_from_subset,
@@ -74,8 +73,8 @@ class TestShotDistribution:
     def test_basis_state_identity_rotation_deterministic(self):
         # X = empty leaves a basis state an eigenstate of every pair observable
         state = FermionicState.basis_state(2, 0)
-        parent = ParentPovmSpec(custom_ensemble(2, 1, [np.eye(4)]))
-        probs = shot_probability_table(state, parent)
+        ens = custom_ensemble(2, 1, [np.eye(4)])
+        probs = shot_probability_table(state, ens)
         # conditioned on mask 0 exactly one q outcome occurs
         row = probs[0, 0]
         assert np.count_nonzero(row > 1e-15) == 1
@@ -83,8 +82,8 @@ class TestShotDistribution:
     def test_maximally_mixed_uniform(self):
         state = FermionicState.maximally_mixed(2)
         rng = np.random.default_rng(3)
-        parent = ParentPovmSpec(custom_ensemble(2, 1, [random_orthogonal(4, rng).entries]))
-        probs = shot_probability_table(state, parent)
+        ens = custom_ensemble(2, 1, [random_orthogonal(4, rng).entries])
+        probs = shot_probability_table(state, ens)
         assert np.max(np.abs(probs - 1.0 / probs.size)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -92,29 +91,29 @@ class TestShotDistribution:
     )
     def test_total_variation_and_chisquare(self, n, shots):
         rng = np.random.default_rng(n)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, shots, rng)
-        probs = shot_probability_table(state, parent)
-        counts = bin_shots(batch, n, parent.n_matrices)
+        batch = simulate_shots(state, ens, shots, rng)
+        probs = shot_probability_table(state, ens)
+        counts = bin_shots(batch, n, ens.n_matrices)
         tv = 0.5 * np.abs(counts / shots - probs.reshape(-1)).sum()
         assert tv < 0.01
         chi = stats.chisquare(counts, probs.reshape(-1) * shots)
         assert chi.pvalue > 1e-6
 
     def test_deterministic_streams(self):
-        parent = ParentPovmSpec(degree2_ensemble(2))
+        ens = degree2_ensemble(2)
         state = FermionicState.random_pure(2, np.random.default_rng(0))
-        a = simulate_shots(state, parent, 500, np.random.default_rng(9))
-        b = simulate_shots(state, parent, 500, np.random.default_rng(9))
+        a = simulate_shots(state, ens, 500, np.random.default_rng(9))
+        b = simulate_shots(state, ens, 500, np.random.default_rng(9))
         assert np.array_equal(a.r, b.r)
         assert np.array_equal(a.conj_mask, b.conj_mask)
         assert np.array_equal(a.q, b.q)
 
     def test_records_view(self):
-        parent = ParentPovmSpec(degree2_ensemble(2))
+        ens = degree2_ensemble(2)
         state = FermionicState.basis_state(2)
-        batch = simulate_shots(state, parent, 3, np.random.default_rng(0))
+        batch = simulate_shots(state, ens, 3, np.random.default_rng(0))
         recs = list(batch.records())
         assert len(recs) == 3
         assert recs[1].shot_id == 1
@@ -131,9 +130,9 @@ def random_mixed(n, rng):
     return FermionicState(n, density_matrix=rho / np.trace(rho))
 
 
-def two_matrix_parent(n, rng):
+def two_matrix_ensemble(n, rng):
     mats = [random_orthogonal(2 * n, rng).entries for _ in range(2)]
-    return ParentPovmSpec(custom_ensemble(n, 1, mats))
+    return custom_ensemble(n, 1, mats)
 
 
 class TestMatrixFreeAgainstDense:
@@ -169,9 +168,9 @@ class TestMatrixFreeAgainstDense:
         rng = np.random.default_rng(23)
         n = 3
         state = FermionicState.random_pure(n, rng)
-        parent = two_matrix_parent(n, rng)
-        table = shot_probability_table(state, parent)
-        for r, mat in enumerate(parent.ensemble.matrices):
+        ens = two_matrix_ensemble(n, rng)
+        table = shot_probability_table(state, ens)
+        for r, mat in enumerate(ens.matrices):
             by_x = outcome_probabilities(mat.entries, state.density(), n)
             for mask in range(4 ** n):
                 bits = x_string_from_subset(mask, n) < 0
@@ -183,15 +182,15 @@ class TestMatrixFreeAgainstDense:
         rng = np.random.default_rng(24)
         n = 3
         state = FermionicState.random_pure(n, rng)
-        parent = two_matrix_parent(n, rng)
-        table = sharpness_table(parent.ensemble)
-        probs = shot_probability_table(state, parent)
+        ens = two_matrix_ensemble(n, rng)
+        table = sharpness_table(ens)
+        probs = shot_probability_table(state, ens)
         targets = subsets_of_size(2 * n, 2)[::2] + subsets_of_size(2 * n, 4)[::3]
         for rec in exact_expectations(probs, table, targets):
             subset = rec.target
             s_mask = sum(1 << (v - 1) for v in subset)
             total = 0.0
-            for r in range(1, parent.n_matrices + 1):
+            for r in range(1, ens.n_matrices + 1):
                 rows, det = table.assignment(r, subset)
                 if rows is None:
                     continue
@@ -205,15 +204,15 @@ class TestMatrixFreeAgainstDense:
             assert rec.estimate == pytest.approx(expected, abs=1e-12)
 
 
-def per_group_shots(state, parent, n_shots, rng):
+def per_group_shots(state, ens, n_shots, rng):
     """Oracle sampler: one Born distribution and one ``rng.choice`` per shot group."""
     n = state.n_modes
-    rs = rng.integers(0, parent.n_matrices, size=n_shots)
+    rs = rng.integers(0, ens.n_matrices, size=n_shots)
     masks = rng.integers(0, 2 ** (2 * n), size=n_shots, dtype=np.uint64)
     # outcome signs of the n pair observables, from their Kronecker products
     pairs = [kron_dense(n, [2 * j + 1, 2 * j + 2]) for j in range(n)]
     signs = np.array([np.rint(np.real(np.diag(p))) for p in pairs], dtype=np.int8)
-    unitaries = [compile_gaussian_unitary(m.entries, n) for m in parent.ensemble.matrices]
+    unitaries = [compile_gaussian_unitary(m.entries, n) for m in ens.matrices]
     q = np.empty((n_shots, n), dtype=np.int8)
     keys = rs.astype(np.uint64) << np.uint64(2 * n + 1) | masks
     order = np.argsort(keys, kind="stable")
@@ -252,7 +251,7 @@ class TestBatchedSamplerAgainstPerGroupOracle:
     def test_same_shots_and_generator_state(self, n, n_rotations, pure, shots, block_bytes, seed):
         rng = np.random.default_rng(seed)
         mats = [random_orthogonal(2 * n, rng).entries for _ in range(n_rotations)]
-        parent = ParentPovmSpec(custom_ensemble(n, 1, mats))
+        ens = custom_ensemble(n, 1, mats)
         if pure:
             state = FermionicState.random_pure(n, rng)
         else:
@@ -265,8 +264,8 @@ class TestBatchedSamplerAgainstPerGroupOracle:
         # small blocks split one rotation's groups over several blocks
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "_BLOCK_BYTES", block_bytes)
-            batch = simulate_shots(state, parent, shots, batched)
-        r, masks, q = per_group_shots(state, parent, shots, oracle)
+            batch = simulate_shots(state, ens, shots, batched)
+        r, masks, q = per_group_shots(state, ens, shots, oracle)
         assert np.array_equal(batch.r, r)
         assert np.array_equal(batch.conj_mask, masks)
         assert np.array_equal(batch.q, q)
@@ -283,10 +282,8 @@ def test_compiles_only_rotations_that_drew_shots(monkeypatch):
 
     monkeypatch.setattr(sampling, "compile_gaussian_unitary", counted)
     rng = np.random.default_rng(31)
-    parent = ParentPovmSpec(
-        custom_ensemble(2, 1, [random_orthogonal(4, rng).entries for _ in range(3)])
-    )
-    batch = simulate_shots(FermionicState.random_pure(2, rng), parent, 1, rng)
+    ens = custom_ensemble(2, 1, [random_orthogonal(4, rng).entries for _ in range(3)])
+    batch = simulate_shots(FermionicState.random_pure(2, rng), ens, 1, rng)
     assert len(batch) == 1
     assert calls == [2]
 
@@ -316,11 +313,11 @@ def test_sampling_never_goes_through_pauli_letters(monkeypatch):
 
     monkeypatch.setattr(algebra, "to_pauli", forbidden)
     rng = np.random.default_rng(6)
-    parent = ParentPovmSpec(degree2_ensemble(3))
-    table = sharpness_table(parent.ensemble)
+    ens = degree2_ensemble(3)
+    table = sharpness_table(ens)
     ham = HamiltonianSpec((((1, 2), 1.0), ((3, 6), -0.5)))
     for state in (FermionicState.random_pure(3, rng), FermionicState.maximally_mixed(3)):
-        batch = simulate_shots(state, parent, 300, rng)
+        batch = simulate_shots(state, ens, 300, rng)
         estimate_expectations(batch, table, [(1, 2), (1, 4), (2, 3, 5, 6)], rng=rng)
         estimate_hamiltonian(batch, table, ham, rng=rng)
 
@@ -356,10 +353,10 @@ class TestEstimators:
         # basis state 0 is a +1 eigenstate of -Z_1, i.e. of the first pair
         n = 2
         state = FermionicState.basis_state(n, 0)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         rng = np.random.default_rng(11)
-        batch = simulate_shots(state, parent, 100_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 100_000, rng)
+        table = sharpness_table(ens)
         (rec,) = estimate_expectations(batch, table, [(1, 2)], rng=rng)
         exact = state.expectation((1, 2))
         assert abs(exact) == pytest.approx(1.0, abs=1e-12)
@@ -368,20 +365,20 @@ class TestEstimators:
     def test_zero_expectation_state(self):
         n = 2
         state = FermionicState.maximally_mixed(n)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         rng = np.random.default_rng(13)
-        batch = simulate_shots(state, parent, 50_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 50_000, rng)
+        table = sharpness_table(ens)
         (rec,) = estimate_expectations(batch, table, [(1, 3)], rng=rng)
         assert abs(rec.estimate) < 4 * rec.stderr
 
     def test_all_degree2_targets_within_4_sigma(self):
         n = 3
         rng = np.random.default_rng(42)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, 100_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 100_000, rng)
+        table = sharpness_table(ens)
         recs = estimate_expectations(batch, table, subsets_of_size(2 * n, 2), rng=rng)
         for rec in recs:
             assert abs(rec.estimate - state.expectation(rec.target)) < 4 * rec.stderr
@@ -389,19 +386,19 @@ class TestEstimators:
     def test_exact_mode_is_unbiased(self):
         n = 3
         rng = np.random.default_rng(5)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        table = sharpness_table(parent.ensemble)
-        probs = shot_probability_table(state, parent)
+        table = sharpness_table(ens)
+        probs = shot_probability_table(state, ens)
         recs = exact_expectations(probs, table, subsets_of_size(2 * n, 2))
         for rec in recs:
             assert rec.estimate == pytest.approx(state.expectation(rec.target), abs=1e-10)
 
     def test_uncovered_target_raises(self):
-        parent = ParentPovmSpec(custom_ensemble(2, 1, [np.eye(4)]))
-        table = sharpness_table(parent.ensemble)
+        ens = custom_ensemble(2, 1, [np.eye(4)])
+        table = sharpness_table(ens)
         state = FermionicState.basis_state(2)
-        batch = simulate_shots(state, parent, 10, np.random.default_rng(0))
+        batch = simulate_shots(state, ens, 10, np.random.default_rng(0))
         with pytest.raises(UncoveredTargetError):
             estimate_expectations(batch, table, [(1, 3)])
 
@@ -410,27 +407,27 @@ class TestEstimators:
         def rot(t):
             return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
-        parent = ParentPovmSpec(custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))]))
-        table = sharpness_table(parent.ensemble)
+        ens = custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))])
+        table = sharpness_table(ens)
         assert table.assignment(1, (1, 3))[0] is None
         assert table.mean_sharpness((1, 3)) == 0.0
         state = FermionicState.random_pure(2, np.random.default_rng(1))
-        batch = simulate_shots(state, parent, 1000, np.random.default_rng(2))
+        batch = simulate_shots(state, ens, 1000, np.random.default_rng(2))
         with pytest.raises(UncoveredTargetError):
             estimate_expectations(batch, table, [(1, 3)])
         with pytest.raises(UncoveredTargetError):
             estimate_hamiltonian(batch, table, HamiltonianSpec((((1, 2), 1.0), ((1, 3), 0.5))))
         with pytest.raises(UncoveredTargetError):
-            exact_expectations(shot_probability_table(state, parent), table, [(1, 3)])
+            exact_expectations(shot_probability_table(state, ens), table, [(1, 3)])
 
     def test_coin_fill_keeps_unbiasedness(self):
         # target covered by one of two rotations only
         n = 3
         rng = np.random.default_rng(21)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, 200_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 200_000, rng)
+        table = sharpness_table(ens)
         (rec,) = estimate_expectations(batch, table, [(1, 2)], rng=rng)
         assert abs(rec.estimate - state.expectation((1, 2))) < 4 * rec.stderr
 
@@ -439,10 +436,10 @@ class TestHamiltonian:
     def test_single_term_reduces_to_observable(self):
         n = 2
         rng = np.random.default_rng(3)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, 50_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 50_000, rng)
+        table = sharpness_table(ens)
         ham = HamiltonianSpec((((1, 3), 2.5),))
         rec = estimate_hamiltonian(batch, table, ham, rng=rng)
         (obs,) = estimate_expectations(batch, table, [(1, 3)], rng=np.random.default_rng(99))
@@ -452,9 +449,9 @@ class TestHamiltonian:
         n = 3
         state = FermionicState.basis_state(n, 5)
         rng = np.random.default_rng(8)
-        parent = ParentPovmSpec(degree2_ensemble(n))
-        batch = simulate_shots(state, parent, 100_000, rng)
-        table = sharpness_table(parent.ensemble)
+        ens = degree2_ensemble(n)
+        batch = simulate_shots(state, ens, 100_000, rng)
+        table = sharpness_table(ens)
         ham = HamiltonianSpec(
             (((1, 2), 0.7), ((3, 4), -1.1), ((5, 6), 0.4))
         )
@@ -464,10 +461,10 @@ class TestHamiltonian:
     def test_random_two_local_matches_dense(self):
         n = 3
         rng = np.random.default_rng(17)
-        parent = ParentPovmSpec(degree2_ensemble(n))
+        ens = degree2_ensemble(n)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, 100_000, rng)
-        table = sharpness_table(parent.ensemble)
+        batch = simulate_shots(state, ens, 100_000, rng)
+        table = sharpness_table(ens)
         ham = HamiltonianSpec((((1, 4), 0.3), ((2, 5), -0.9), ((3, 6), 0.2)))
         rec = estimate_hamiltonian(batch, table, ham, rng=rng)
         assert abs(rec.estimate - ham.expectation(state)) < 4 * rec.stderr
@@ -491,7 +488,7 @@ class TestPredictedVariance:
         ham = HamiltonianSpec((((1, 3), alpha),))
         ens = custom_ensemble(n, 1, [o])
         tab = sharpness_table(ens)
-        eta = tab.row_for((1, 3)).eta_s
+        eta = tab.row_for((1, 3)).eta
         expected = alpha ** 2 / eta ** 2 - (alpha * state.expectation((1, 3))) ** 2
         assert predicted_variance(ham, o.entries, state) == pytest.approx(expected, rel=1e-12)
 
@@ -500,11 +497,10 @@ class TestPredictedVariance:
         rng = np.random.default_rng(7)
         o = random_orthogonal(2 * n, rng)
         ens = custom_ensemble(n, 1, [o])
-        parent = ParentPovmSpec(ens)
         state = FermionicState.random_pure(n, rng)
         ham = HamiltonianSpec((((1, 2), 0.8), ((1, 3), -0.5)))
         pred = predicted_variance(ham, o.entries, state)
-        batch = simulate_shots(state, parent, 1_000_000, rng)
+        batch = simulate_shots(state, ens, 1_000_000, rng)
         table = sharpness_table(ens)
         per_shot = np.zeros(len(batch.r))
         for subset, coeff in ham.terms:
@@ -523,9 +519,8 @@ class TestPredictedVariance:
         rng = np.random.default_rng(19)
         o = random_orthogonal(2 * n, rng)
         ens = custom_ensemble(n, 1, [o])
-        parent = ParentPovmSpec(ens)
         state = FermionicState.random_pure(n, rng)
-        batch = simulate_shots(state, parent, 400_000, rng)
+        batch = simulate_shots(state, ens, 400_000, rng)
         table = sharpness_table(ens)
         s1, s2 = (1, 2), (1, 3)
         e1 = _target_signs(batch, table, s1)
@@ -594,8 +589,8 @@ class TestSampleComplexity:
     def test_calibration_is_conservative(self):
         # failure frequency over repeated trials stays below delta
         n, k, eps, delta = 2, 1, 0.2, 0.2
-        parent = ParentPovmSpec(degree2_ensemble(n))
-        table = sharpness_table(parent.ensemble)
+        ens = degree2_ensemble(n)
+        table = sharpness_table(ens)
         eta_min = min(table.mean_sharpness(row.subset) for row in table.rows)
         shots = sample_complexity(n, k, eps, delta, eta_min)
         rng = np.random.default_rng(101)
@@ -604,7 +599,7 @@ class TestSampleComplexity:
         failures = 0
         trials = 30
         for _ in range(trials):
-            batch = simulate_shots(state, parent, shots, rng)
+            batch = simulate_shots(state, ens, shots, rng)
             recs = estimate_expectations(batch, table, targets, rng=rng)
             if any(
                 abs(rec.estimate - state.expectation(rec.target)) >= eps
