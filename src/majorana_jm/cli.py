@@ -21,6 +21,13 @@ EXIT_INVALID = 4
 EXIT_UNCOVERED = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit with 2, the I/O code here: a usage error is invalid input
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _common(parser):
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -28,7 +35,7 @@ def _common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="majorana-jm",
         description="joint measurements of Majorana observables",
     )
@@ -117,9 +124,9 @@ def _cmd_construct(args):
     else:
         _require_seed(args)
         ensemble = degree2k_ensemble(args.n, args.k, args.N, seed=args.seed)
-    io.write_ensemble_archive(args.out, ensemble)
+    coverage = io.write_ensemble_archive(args.out, ensemble)
     with open(args.out + ".coverage.csv", "w") as fh:
-        fh.write(io.coverage_csv(ensemble.coverage))
+        fh.write(coverage)
     sys.stdout.write(
         json.dumps(
             {
@@ -199,6 +206,8 @@ def _cmd_simulate(args):
     from majorana_jm.sampling import simulate_shots
 
     _require_seed(args)
+    if args.shots < 1:
+        raise ValueError("--shots must be at least 1")
     state = _load_state(args)
     ensemble = _load_ensemble(args)
     if state.n_modes != ensemble.n_modes:
@@ -326,9 +335,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, argv, args)
+        args = _apply_config(parser, argv, parser.parse_args(argv))
         return _HANDLERS[args.command](args)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -111,8 +111,11 @@ def sharpness_csv(table) -> str:
     return buf.getvalue()
 
 
-def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
-    """Zip archive of matrices, construction metadata and the coverage table."""
+def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> str:
+    """Zip archive of matrices, construction metadata and the coverage table.
+
+    Returns the coverage CSV text it stored.
+    """
     meta = {
         "format": _ARCHIVE_FORMAT,
         "n_modes": ensemble.n_modes,
@@ -139,7 +142,9 @@ def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
         zf.writestr(_zip_entry("metadata.json"), json.dumps(meta, indent=2, sort_keys=True))
         for r, mat in enumerate(ensemble.matrices, start=1):
             zf.writestr(_zip_entry(f"matrix_{r}.txt"), matrix_to_text(mat.entries))
-        zf.writestr(_zip_entry("coverage.csv"), coverage_csv(ensemble.coverage))
+        coverage = coverage_csv(ensemble.coverage)
+        zf.writestr(_zip_entry("coverage.csv"), coverage)
+    return coverage
 
 
 def _zip_entry(name: str) -> zipfile.ZipInfo:

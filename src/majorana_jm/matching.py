@@ -310,23 +310,44 @@ def _components(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row_lab = new
 
 
+def _minor_groups(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield ``(match, dets)`` per row set: the supports whose minor can be nonzero.
+
+    A minor ``det(arr[R, S])`` can be nonzero only when ``R`` and ``S`` meet
+    every connected component of ``arr != 0`` equally often, that is when
+    their sorted component labels agree.  The row-set and support keys are
+    lexsorted together once, which numbers the distinct keys; a stable sort
+    keeps each key's group of supports in ascending order, and two
+    ``searchsorted`` calls find every row set's group.  ``match`` holds the
+    group's support indices and ``dets`` their minors, one ``np.linalg.det``
+    call per row set.  A dense matrix is one component, and then every
+    support is in every group.
+    """
+    row_lab, col_lab = _components(arr)
+    keys = np.sort(np.concatenate([col_lab[cols], row_lab[rows]]), axis=1)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    key_id = np.empty(len(keys), dtype=np.int64)
+    key_id[order] = np.concatenate([[0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))])
+    n_s = len(cols)
+    col_order = order[order < n_s]
+    col_ids = key_id[col_order]
+    lo = np.searchsorted(col_ids, key_id[n_s:], side="left")
+    hi = np.searchsorted(col_ids, key_id[n_s:], side="right")
+    for r, a, b in zip(rows, lo, hi):
+        match = col_order[a:b]
+        yield match, np.linalg.det(arr[r[None, :, None], cols[match][:, None, :]])
+
+
 def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Signed ``det(arr[R, S])`` for the 0-based index sets ``R`` in ``rows``, ``S`` in ``cols``.
 
-    A minor can be nonzero only when ``R`` and ``S`` meet every connected
-    component of ``arr != 0`` equally often, that is when their sorted
-    component labels agree; every other entry is exactly ``0.0``.  Only the
-    matching minors go through ``np.linalg.det``, one row set at a time, so
-    each value is the one a scan of every minor gives.  A dense matrix is
-    one component, and then every minor is evaluated.
+    The dense ``(len(rows), len(cols))`` block: the minors that
+    :func:`_minor_groups` evaluates, and exactly ``0.0`` everywhere else.
     """
-    row_lab, col_lab = _components(arr)
-    row_keys = np.sort(row_lab[rows], axis=1)
-    col_keys = np.sort(col_lab[cols], axis=1)
     out = np.zeros((len(rows), len(cols)))
-    for i, r in enumerate(rows):
-        match = (col_keys == row_keys[i]).all(axis=1)
-        out[i, match] = np.linalg.det(arr[r[None, :, None], cols[match][:, None, :]])
+    for i, (match, dets) in enumerate(_minor_groups(arr, rows, cols)):
+        out[i, match] = dets
     return out
 
 
@@ -394,11 +415,14 @@ class MinorTable:
 
     @property
     def uncovered(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row.subset for row in self.rows if row.r is None)
+        eta = self.best[0]
+        return tuple(self.supports[j] for j in np.flatnonzero(eta <= COVERAGE_TOL))
 
     @property
     def min_eta(self) -> float:
-        return min((row.eta for row in self.rows), default=0.0)
+        """The smallest ``eta`` of :attr:`rows`: 0 when a support is uncovered."""
+        eta = self.best[0]
+        return float(np.where(eta > COVERAGE_TOL, eta, 0.0).min())
 
     def row_for(self, subset) -> CoverageRow:
         return self.rows[self.index[tuple(subset)]]
@@ -586,26 +610,29 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
-    Only one matrix's ``(C(n,k), C(2n,2k))`` block of minors is held at a
-    time, with :func:`minor_dets` evaluating only the minors that the
-    matrix's block structure allows; the block is reduced to its best row
-    set and signed minor per support before the next matrix is scanned.
-    The block's rounded magnitudes are taken in place in one support-major
-    copy, so the scan holds about two blocks at its peak.
+    Each matrix's nonzero minors come from :func:`_minor_groups` one row
+    set at a time and are reduced straight into that matrix's
+    ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))`` block is held.
+    Row set 0 assigns its group; a later row set replaces an entry only
+    when its ``|det|`` rounded to 12 decimals is strictly larger.  That is
+    the first-wins argmax over the block: a support no row set matches
+    keeps row set 0 and minor ``0.0``.
     """
     supports = list(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
     row_sets = diag_index_sets(n_modes, half_degree)
     cols = np.array(supports, dtype=np.int64) - 1  # (nS, 2k)
     rows = np.array(row_sets, dtype=np.int64) - 1  # (nR, 2k)
-    columns = np.arange(len(supports))
-    best = np.empty((len(arrays), len(supports)), dtype=np.int64)
-    minors = np.empty(best.shape)
+    best = np.zeros((len(arrays), len(supports)), dtype=np.int64)
+    minors = np.zeros(best.shape)
     for r, arr in enumerate(arrays):
-        dets = minor_dets(arr, rows, cols)
-        rounded = dets.T.copy()  # C order: one support per row
-        np.abs(np.round(rounded, 12, out=rounded), out=rounded)
-        best[r] = np.argmax(rounded, axis=1)
-        minors[r] = dets[best[r], columns]
+        top = np.zeros(len(supports))  # the running best rounded |det|
+        for i, (match, dets) in enumerate(_minor_groups(arr, rows, cols)):
+            vals = np.abs(np.round(dets, 12))
+            better = (vals > top[match]) | (i == 0)
+            won = match[better]
+            top[won] = vals[better]
+            best[r, won] = i
+            minors[r, won] = dets[better]
     return MinorTable(half_degree, supports, row_sets, best, minors)
 
 

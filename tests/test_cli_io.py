@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,6 @@ class TestEnsembleArchive:
         assert loaded.coverage.min_eta == pytest.approx(0.5, abs=1e-12)
 
     def test_metadata_cycles(self, tmp_path):
-        import zipfile
-
         ens = degree2_ensemble(3)
         path = tmp_path / "ens.zip"
         io.write_ensemble_archive(path, ens)
@@ -56,8 +55,6 @@ class TestEnsembleArchive:
         assert meta["sigma_cycles"][1] == [[1, 3], [2, 5], [4, 6]]
 
     def test_rejects_unknown_format(self, tmp_path, capsys):
-        import zipfile
-
         path = tmp_path / "ens.zip"
         io.write_ensemble_archive(path, degree2_ensemble(2))
         with zipfile.ZipFile(path) as zf:
@@ -165,7 +162,8 @@ class TestCli:
         info = json.loads(capsys.readouterr().out)
         assert info["n_matrices"] == 2
         assert info["min_eta"] == pytest.approx(0.5, abs=1e-12)
-        assert out.exists() and (tmp_path / "ens.zip.coverage.csv").exists()
+        with zipfile.ZipFile(out) as zf:
+            assert (tmp_path / "ens.zip.coverage.csv").read_bytes() == zf.read("coverage.csv")
         loaded = io.read_ensemble_archive(out)
         printed_o2 = np.array(
             [
@@ -363,6 +361,30 @@ class TestCli:
             "--targets", "gamma[1,2]", "--shots", "0",
         )
         assert code == 4
+
+    @pytest.mark.parametrize("shots", ["0", "-2"])
+    def test_simulate_rejects_shots_below_one(self, tmp_path, capsys, shots):
+        # checked up front: the missing input files are never opened
+        log = tmp_path / "shots.csv"
+        code = self.run(
+            "simulate", "--state", str(tmp_path / "state.json"), "--ensemble", str(tmp_path / "ens.zip"),
+            "--shots", shots, "--seed", "3", "--out", str(log),
+        )
+        assert code == 4
+        assert "invalid input: --shots" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("argv", [("compare", "--n-range", "-2:2"), ("bogus",)])
+    def test_usage_errors_exit4(self, capsys, argv):
+        # argparse's own usage-error code is 2, the I/O code here
+        assert self.run(*argv) == 4
+        assert "invalid input: majorana-jm" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("--help")
+        assert exc.value.code == 0
+        assert "usage: majorana-jm" in capsys.readouterr().out
 
     def test_missing_file_exit2(self, tmp_path):
         code = self.run("validate", "--ensemble", str(tmp_path / "missing.zip"))

@@ -218,6 +218,14 @@ def _rotation(kind, size, rng):
             width = int(rng.integers(1, size - at + 1))
             base[at : at + width, at : at + width] = lower_flat(width).entries
             at += width
+    elif kind == "tiny":
+        # a rotation by about 1e-14 between generators 2 and 3, unpermuted:
+        # row set 0 meets supports such as (1, 3) only in a minor that rounds
+        # to zero, as every other row set's minor there does
+        base = np.eye(size)
+        angle = rng.uniform(1e-15, 1e-13)
+        base[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        return base * rng.choice((-1.0, 1.0), size)
     else:
         base = np.eye(size) if kind == "permutation" else lower_flat(size).entries
     signed = base * rng.choice((-1.0, 1.0), size)
@@ -275,6 +283,9 @@ class TestMinorTable:
         table = scan_minors([np.eye(6)], 3, 1)
         covered = {s for s, e in zip(table.supports, table.best[0]) if e > 1e-12}
         assert covered == set(diag_index_sets(3, 1))
+        # min_eta and uncovered are read off best; rows is the reference
+        assert table.uncovered == tuple(row.subset for row in table.rows if row.r is None)
+        assert table.min_eta == min(row.eta for row in table.rows) == 0.0
 
     def test_tie_break_is_lexicographic(self):
         # two identical matrices: ties resolve to the first matrix, smallest rows
@@ -300,6 +311,7 @@ class TestMinorTable:
             assert row.r == best_r[s_i] + 1
             assert abs(row.eta - eta[s_i]) < 1e-12
             assert row.rows == table.row_sets[best_rows[s_i]]
+        assert table.min_eta == min(row.eta for row in table.rows) > 0.0
 
 
 def _dense_minor_dets(arr, rows, cols):
@@ -310,13 +322,30 @@ def _dense_minor_dets(arr, rows, cols):
     return out
 
 
+def _argmax_scan(arrays, n, half):
+    """The scan as every minor in a dense block and a first-wins argmax per support."""
+    rows = np.array(diag_index_sets(n, half)) - 1
+    cols = np.array(list(itertools.combinations(range(2 * n), 2 * half)))
+    columns = np.arange(len(cols))
+    best = np.empty((len(arrays), len(cols)), dtype=np.int64)
+    minors = np.empty(best.shape)
+    for r, arr in enumerate(arrays):
+        dets = _dense_minor_dets(arr, rows, cols)
+        best[r] = np.argmax(np.abs(np.round(dets.T, 12)), axis=1)
+        minors[r] = dets[best[r], columns]
+    return best, minors
+
+
+KINDS = ["random", "permutation", "lower_flat", "blocks", "tiny"]
+
+
 class TestMinorDets:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 5),
         half=st.integers(1, 2),
         seed=st.integers(0, 2 ** 32 - 1),
-        kind=st.sampled_from(["random", "permutation", "lower_flat", "blocks"]),
+        kind=st.sampled_from(KINDS),
     )
     def test_bitwise_equal_to_dense_oracle(self, n, half, seed, kind):
         # the skipped minors must be the oracle's exact +0.0 and the rest its
@@ -325,6 +354,33 @@ class TestMinorDets:
         sets = np.array(list(itertools.combinations(range(2 * n), 2 * half)))
         got = minor_dets(arr, sets, sets)
         assert np.array_equal(got.view(np.int64), _dense_minor_dets(arr, sets, sets).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        half=st.integers(1, 2),
+        seed=st.integers(0, 2 ** 32 - 1),
+        layout=st.sampled_from([(0,), (0, 1), (0, 0), (0, 1, 0)]),
+        kind=st.sampled_from(KINDS),
+    )
+    def test_scan_bitwise_equal_to_block_argmax(self, n, half, seed, layout, kind):
+        # repeated matrices tie exactly across rotations, and the tiny
+        # rotation has supports whose every rounded minor is zero, where
+        # row set 0's own signed minor must be kept
+        rng = np.random.default_rng(seed)
+        base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
+        arrays = [base[b] for b in layout]
+        got = scan_minors(arrays, n, half).per_matrix
+        for g, ref in zip(got, _argmax_scan(arrays, n, half)):
+            assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+
+    def test_all_zero_support_keeps_row_set_0_minor(self):
+        arr = _rotation("tiny", 4, np.random.default_rng(0))
+        table = scan_minors([arr], 2, 1)
+        best, minors = table.per_matrix
+        j = table.index[(1, 3)]
+        assert best[0, j] == 0
+        assert minors[0, j] != 0.0 and abs(minors[0, j]) < 1e-12
 
     @pytest.mark.parametrize("kind", ["degree2k", "random"])
     def test_evaluates_only_the_minors_the_blocks_allow(self, monkeypatch, kind):
@@ -350,18 +406,26 @@ class TestMinorDets:
         else:
             assert share == 1.0
 
-    def test_scan_peaks_near_two_blocks_of_minors(self):
-        # one rotation's block of minors and its rounded support-major copy,
-        # plus index arrays far smaller than a block
+    def test_scan_peaks_below_one_block_of_minors(self):
+        # a dense rotation puts every support in every row set's group: one
+        # group's submatrices and the sort keys, never the block
         arr = random_orthogonal(24, np.random.default_rng(1)).entries
         block = math.comb(12, 2) * math.comb(24, 4) * 8
-        tracemalloc.start()
-        try:
-            scan_minors([arr], 12, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block
+        assert _scan_peak([arr], 12, 2) < 1.0 * block
+
+    def test_degree2k_scan_peak(self):
+        # N=9 rotations at n=16: one rotation's block would be 34.5 MB
+        ens = degree2k_ensemble(16, 2, seed=1)
+        assert _scan_peak(ens.arrays(), 16, 2) < 25e6
+
+
+def _scan_peak(arrays, n, half):
+    tracemalloc.start()
+    try:
+        scan_minors(arrays, n, half)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPartitionCombinatorics:
