@@ -179,10 +179,10 @@ def _cmd_sharpness(args):
 
 def _cmd_robustness(args):
     from majorana_jm import io
-    from majorana_jm.robustness import BRUTE_FORCE_BUDGET, robustness_bruteforce
+    from majorana_jm.robustness import BRUTE_FORCE_BUDGET, exact_robustness
 
     budget = BRUTE_FORCE_BUDGET if args.budget is None else args.budget
-    report = robustness_bruteforce(args.n, args.k, budget=budget)
+    report = exact_robustness(args.n, args.k, budget=budget)
     status = "budget-exceeded" if report.method == "bound-only" else "ok"
     _emit(args, io.robustness_report_json(report, status=status))
     return EXIT_OK

@@ -19,6 +19,7 @@ import zlib
 import numpy as np
 
 from majorana_jm.matching import (
+    COVERAGE_TOL,
     MeasurementEnsemble,
     MinorTable,
     custom_ensemble,
@@ -76,39 +77,46 @@ def read_matrix_text(path) -> np.ndarray:
         return matrix_from_text(fh.read())
 
 
+def _bracketed(index_sets) -> list[str]:
+    # every set has two or more indices, so the csv module would quote it too
+    return ['"[' + ",".join(map(str, s)) + ']"' for s in index_sets]
+
+
+def _coverage_fields(table: MinorTable):
+    """Per support: its quoted S, 1-based r, quoted R and eta.
+
+    An uncovered support reads ``r = 0``, ``R = ""`` and ``eta = 0.0``, as
+    in :attr:`MinorTable.rows`, which these fields print without building.
+    """
+    eta, r_idx, rows_idx = table.best
+    covered = eta > COVERAGE_TOL
+    row_text = _bracketed(table.row_sets)
+    return zip(
+        _bracketed(table.supports),
+        np.where(covered, r_idx + 1, 0).tolist(),
+        [row_text[i] if ok else "" for i, ok in zip(rows_idx.tolist(), covered.tolist())],
+        np.where(covered, eta, 0.0).tolist(),
+    )
+
+
 def coverage_csv(table: MinorTable) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["S", "r", "R", "eta"])
-    for row in table.rows:
-        writer.writerow(
-            [
-                "[" + ",".join(map(str, row.subset)) + "]",
-                "" if row.r is None else row.r,
-                "" if row.rows is None else "[" + ",".join(map(str, row.rows)) + "]",
-                format(row.eta, ".17g"),
-            ]
-        )
-    return buf.getvalue()
+    lines = ["S,r,R,eta"]
+    lines += [f"{s},{r or ''},{rows},{eta:.17g}" for s, r, rows, eta in _coverage_fields(table)]
+    return "\n".join(lines) + "\n"
 
 
 def sharpness_csv(table) -> str:
-    """One row per support; an uncovered support reads ``r = 0`` and ``R = []``."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["S", "r", "R", "eta_RS", "eta_S", "eta_effective"])
-    for row in table.rows:
-        writer.writerow(
-            [
-                "[" + ",".join(map(str, row.subset)) + "]",
-                row.r or 0,
-                "[" + ",".join(map(str, row.rows or ())) + "]",
-                format(row.eta, ".17g"),  # eta_RS: the best (r, R) minor is eta_S
-                format(row.eta, ".17g"),
-                format(row.eta / table.n_matrices, ".17g"),  # eta_effective = eta_S / N
-            ]
-        )
-    return buf.getvalue()
+    """One row per support; an uncovered support reads ``r = 0`` and ``R = []``.
+
+    ``eta_RS`` is the best ``(r, R)`` minor, so it equals ``eta_S``, and
+    ``eta_effective = eta_S / N``.
+    """
+    n_matrices = table.n_matrices
+    lines = ["S,r,R,eta_RS,eta_S,eta_effective"]
+    for s, r, rows, eta in _coverage_fields(table.coverage):
+        text = format(eta, ".17g")
+        lines.append(f"{s},{r},{rows or '[]'},{text},{text},{eta / n_matrices:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> str:

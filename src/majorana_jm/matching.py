@@ -323,7 +323,7 @@ def _minor_groups(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     call per row set.  A dense matrix is one component, and then every
     support is in every group.
     """
-    row_lab, col_lab = _components(arr)
+    row_lab, col_lab = (lab.astype(np.min_scalar_type(len(arr))) for lab in _components(arr))
     keys = np.sort(np.concatenate([col_lab[cols], row_lab[rows]]), axis=1)
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
@@ -607,6 +607,13 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
             )
 
 
+def _index_array(index_sets) -> np.ndarray:
+    """The 1-based index tuples of one size as a 0-based ``(count, size)`` array."""
+    size = len(index_sets[0])
+    flat = np.fromiter(itertools.chain.from_iterable(index_sets), np.int64, len(index_sets) * size)
+    return flat.reshape(len(index_sets), size) - 1
+
+
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
@@ -620,8 +627,8 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """
     supports = list(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
     row_sets = diag_index_sets(n_modes, half_degree)
-    cols = np.array(supports, dtype=np.int64) - 1  # (nS, 2k)
-    rows = np.array(row_sets, dtype=np.int64) - 1  # (nR, 2k)
+    cols = _index_array(supports)  # (nS, 2k)
+    rows = _index_array(row_sets)  # (nR, 2k)
     best = np.zeros((len(arrays), len(supports)), dtype=np.int64)
     minors = np.zeros(best.shape)
     for r, arr in enumerate(arrays):

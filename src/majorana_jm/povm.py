@@ -264,8 +264,13 @@ class SharpnessTable:
         return table, table.index[key]
 
     @property
+    def coverage(self) -> MinorTable:
+        """The primary degree's minor table."""
+        return self._table(self.degree_k)
+
+    @property
     def rows(self) -> tuple[CoverageRow, ...]:
-        return self._table(self.degree_k).rows
+        return self.coverage.rows
 
     def row_for(self, subset) -> CoverageRow:
         table, i = self._locate(subset)
@@ -290,7 +295,7 @@ class SharpnessTable:
 
     @property
     def min_mean_sharpness(self) -> float:
-        return float(np.abs(self._table(self.degree_k).per_matrix[1]).mean(axis=0).min())
+        return float(np.abs(self.coverage.per_matrix[1]).mean(axis=0).min())
 
 
 def sharpness_table(ensemble: MeasurementEnsemble) -> SharpnessTable:

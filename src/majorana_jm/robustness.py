@@ -7,6 +7,15 @@ spectra give the norm directly as the sum of the positive imaginary parts;
 the general case diagonalizes the dense signed sum.  One section search,
 ``_search``, enumerates the sections for both.
 
+``exact_robustness`` reads the value off a certificate before it searches.
+Multiplying by ``gamma_1...gamma_2n`` maps every degree-d signed sum onto a
+degree-(2n-d) one of the same norm, so a degree between n and 2n is solved
+at its dual degree and its section mapped back (``parity-dual``).  At
+degree 2 a skew-Hadamard tournament meets the proven bound
+``1/sqrt(2n-1)`` (``skew-hadamard``).  Only what is left runs the search
+(``robustness_bruteforce``), and the budget caps only the sections that
+are actually searched.
+
 Section enumeration quotients out the monomial-conjugation sign action by
 fixing every sign whose support contains the first generator.  That
 quotient is transitive on those coordinates only for degree <= 2, so
@@ -21,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
+from majorana_jm.algebra import (
+    canonical_monomial,
+    dense_matrix,
+    monomial_product,
+    subsets_of_size,
+    support_to_indices,
+)
 
 __all__ = [
     "SignSection",
@@ -30,6 +45,7 @@ __all__ = [
     "BRUTE_FORCE_BUDGET",
     "operator_norm",
     "robustness_bruteforce",
+    "exact_robustness",
     "degree2_norm",
     "tournament_from_section",
     "section_from_tournament",
@@ -310,7 +326,9 @@ def thm2_upper_bound(n_modes: int, degree: int) -> float | None:
 class RobustnessReport:
     n_modes: int
     degree: int
-    method: str  # brute-force | degree2-spectral | bound-only
+    # brute-force | degree2-spectral (the section search) | skew-hadamard |
+    # parity-dual (certificates, see exact_robustness) | bound-only
+    method: str
     value: float | None
     section: str | None
     bounds: dict
@@ -405,6 +423,82 @@ def robustness_bruteforce(
         value=best / len(signs),
         section=str(SignSection(n_modes, degree, signs)),
     )
+
+
+def exact_robustness(
+    n_modes: int,
+    degree: int,
+    budget: int = BRUTE_FORCE_BUDGET,
+) -> RobustnessReport:
+    """Exact robustness, from a certificate where one applies, else by search.
+
+    A positive ``budget`` first tries the certificates of
+    :func:`_certified_section`: degrees ``n < d < 2n`` go to their parity
+    dual, and degree 2 takes a skew-Hadamard tournament when one is
+    constructed.  Everything else, including ``budget <= 0`` and degrees
+    out of range, is :func:`robustness_bruteforce` with the same budget.
+    The budget caps only the sections a search visits.
+    """
+    found = None
+    if budget > 0 and 1 <= degree <= 2 * n_modes:
+        found = _certified_section(n_modes, degree, budget)
+    if found is None:
+        return robustness_bruteforce(n_modes, degree, budget)
+    method, best, signs = found
+    return build_report(
+        n_modes,
+        degree,
+        method=method,
+        value=best / len(signs),
+        section=str(SignSection(n_modes, degree, signs)),
+    )
+
+
+def _certified_section(
+    n_modes: int, degree: int, budget: int
+) -> tuple[str, float, tuple[int, ...]] | None:
+    """Method, signed-sum norm and signs of a maximizing section, or None.
+
+    None means no certificate applies, or the dual degree's search needs
+    more than ``budget`` sections; the primal search is then no smaller.
+    """
+    if n_modes < degree < 2 * n_modes:
+        dual = 2 * n_modes - degree
+        certified = _certified_section(n_modes, dual, budget)
+        found = certified[1:] if certified else _search(n_modes, dual, budget)
+        if found is None:
+            return None
+        best, signs = found
+        return "parity-dual", best, _dual_signs(n_modes, degree, signs)
+    if degree == 2:
+        skew = skew_hadamard_search(2 * n_modes)
+        if skew.status == "found":
+            # its norm is n sqrt(2n-1), the proven bound, so no section beats it
+            best, _ = degree2_norm(skew.tournament)
+            return "skew-hadamard", best, section_from_tournament(skew.tournament).signs
+    return None
+
+
+def _dual_signs(n_modes: int, degree: int, dual_signs) -> tuple[int, ...]:
+    """The degree-``degree`` section mapped from a section of degree ``2n - degree``.
+
+    With ``G`` the Hermitian ``gamma_1...gamma_2n``, ``G gamma_S = e_S
+    gamma_{S^c}`` where ``e_S`` is ``+-1`` at even degree and ``+-i`` at
+    odd degree.  Support ``S`` takes the sign of its complement times the
+    sign of ``e_S`` (of ``e_S / i`` at odd degree); then ``G`` times the new
+    sum is the dual sum up to one common factor ``1`` or ``i``, and ``G`` is
+    unitary, so both norms agree.
+    """
+    two_n = 2 * n_modes
+    full = canonical_monomial(n_modes, (1 << two_n) - 1)
+    dual_index = {s: j for j, s in enumerate(subsets_of_size(two_n, two_n - degree))}
+    signs = []
+    for subset in subsets_of_size(two_n, degree):
+        image = monomial_product(full, canonical_monomial(n_modes, subset))
+        quarter = (image.phase_quarter - canonical_monomial(n_modes, image.support).phase_quarter) % 4
+        sign = dual_signs[dual_index[support_to_indices(image.support)]]
+        signs.append(sign if quarter < 2 else -sign)
+    return tuple(signs)
 
 
 def build_report(

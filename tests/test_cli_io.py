@@ -240,6 +240,20 @@ class TestCli:
         assert rep["value"] is None and rep["section"] is None
 
     @pytest.mark.parametrize(
+        "n, k, method, value",
+        [("4", "6", "parity-dual", 1 / math.sqrt(7)), ("6", "2", "skew-hadamard", 1 / math.sqrt(11))],
+    )
+    def test_robustness_exact_from_certificates(self, n, k, method, value, capsys):
+        assert self.run("robustness", "--n", n, "--k", k) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "ok" and rep["method"] == method
+        assert rep["value"] == pytest.approx(value, abs=1e-12)
+        assert self.run("robustness", "--n", n, "--k", k, "--budget", "0") == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "budget-exceeded" and rep["method"] == "bound-only"
+        assert rep["value"] is None
+
+    @pytest.mark.parametrize(
         "n, k", [("2", "5"), ("2", "0"), ("0", "2"), ("-1", "1")]
     )
     def test_robustness_out_of_range_exit4(self, n, k, capsys):

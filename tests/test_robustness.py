@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorana_jm import robustness
 from majorana_jm.algebra import canonical_monomial, pauli_dense, subsets_of_size, to_pauli
@@ -17,6 +19,7 @@ from majorana_jm.robustness import (
     appendix_tournament_4,
     build_report,
     degree2_norm,
+    exact_robustness,
     exhaustive_tournament_max,
     ho_bound,
     ho_bound_proven,
@@ -211,6 +214,86 @@ class TestTieRule:
         assert rep.section == str(SignSection(4, 2, _code_signs(4, 2, 85298)))
         assert rep.value == pytest.approx(thm2_upper_bound(4, 2), abs=1e-12)
         assert len(calls) == 85298 // robustness._CHUNK + 1
+
+
+class TestExactRobustness:
+    """Certificates against the section search and the Kronecker oracle."""
+
+    @pytest.mark.parametrize(
+        "n, degree, budget, method",
+        [
+            (2, 3, BRUTE_FORCE_BUDGET, "parity-dual"),
+            (3, 4, BRUTE_FORCE_BUDGET, "parity-dual"),
+            (3, 5, BRUTE_FORCE_BUDGET, "parity-dual"),
+            (2, 2, BRUTE_FORCE_BUDGET, "skew-hadamard"),
+            (4, 2, 2 ** 21, "skew-hadamard"),
+        ],
+    )
+    def test_matches_search_and_oracle(self, n, degree, budget, method):
+        rep = exact_robustness(n, degree, budget)
+        assert rep.method == method
+        assert rep.value == pytest.approx(robustness_bruteforce(n, degree, budget).value, abs=1e-12)
+        signs = SignSection.from_string(n, degree, rep.section).signs
+        total = _kron_norm(n, degree, np.array(signs, dtype=float))
+        assert total == pytest.approx(rep.value * math.comb(2 * n, degree), abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from([(2, 3), (3, 4), (3, 5), (4, 6), (4, 7)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dual_map_is_the_parity_product(self, case, seed):
+        # any section, not only an optimal one: gamma_1...gamma_2n times the
+        # mapped sum is the dual sum up to one factor +-1 or +-i
+        n, degree = case
+        dual = np.random.default_rng(seed).choice((-1, 1), size=math.comb(2 * n, degree))
+        signs = robustness._dual_signs(n, degree, tuple(int(v) for v in dual))
+        full = pauli_dense(to_pauli(canonical_monomial(n, range(1, 2 * n + 1))))
+        mapped = full @ np.tensordot(np.array(signs, dtype=float), _kron_terms(n, degree), axes=(0, 0))
+        target = np.tensordot(dual.astype(float), _kron_terms(n, 2 * n - degree), axes=(0, 0))
+        factor = np.vdot(target, mapped) / np.vdot(target, target)
+        assert min(abs(factor - c) for c in (1, -1, 1j, -1j)) < 1e-12
+        assert np.allclose(mapped, factor * target, atol=1e-12)
+        assert _kron_norm(n, degree, np.array(signs, dtype=float)) == pytest.approx(
+            _kron_norm(n, 2 * n - degree, dual.astype(float)), abs=1e-12
+        )
+
+    def test_dual_of_a_skew_hadamard_degree(self):
+        # n=4 degree 6 is too large to search; its dual, degree 2, is certified
+        rep = exact_robustness(4, 6)
+        assert rep.method == "parity-dual"
+        assert rep.value == exact_robustness(4, 2).value
+        assert rep.value == pytest.approx(thm2_upper_bound(4, 6), abs=1e-12)
+        signs = SignSection.from_string(4, 6, rep.section).signs
+        total = _kron_norm(4, 6, np.array(signs, dtype=float))
+        assert total == pytest.approx(rep.value * math.comb(8, 6), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 16, 20])
+    def test_skew_hadamard_meets_the_bound(self, n):
+        rep = exact_robustness(n, 2)
+        assert rep.method == "skew-hadamard"
+        assert rep.value == pytest.approx(thm2_upper_bound(n, 2), abs=1e-15)
+
+    def test_without_certificate_it_is_the_search(self):
+        # no skew-Hadamard tournament of order 6, and degree 2 is not above n
+        assert exact_robustness(3, 2) == robustness_bruteforce(3, 2)
+        assert exact_robustness(3, 6) == robustness_bruteforce(3, 6)
+
+    @pytest.mark.parametrize("n, degree", [(2, 2), (4, 6), (3, 4)])
+    def test_zero_budget_is_bound_only(self, n, degree):
+        rep = exact_robustness(n, degree, budget=0)
+        assert rep.method == "bound-only"
+        assert rep.value is None and rep.section is None
+
+    def test_budget_caps_the_dual_search(self):
+        # the dual of n=3 degree 4 searches 1,024 degree-2 sections
+        assert exact_robustness(3, 4, budget=1023).method == "bound-only"
+        assert exact_robustness(3, 4, budget=1024).method == "parity-dual"
+
+    @pytest.mark.parametrize("n, degree", [(2, 5), (2, 0), (0, 2), (-1, 1)])
+    def test_rejects_degree_out_of_range(self, n, degree):
+        with pytest.raises(ValueError, match="degree in 1..2n"):
+            exact_robustness(n, degree)
 
 
 class TestSkewHadamard:
