@@ -3,11 +3,15 @@
 ``compile_gaussian_unitary`` turns any O in O(2n) into the dense unitary
 whose conjugation action rotates the generator vector by O.  Rotations with
 determinant -1 are handled by splitting off conjugation with the last
-generator, whose orthogonal action is diag(-1, ..., -1, +1).
+generator, whose orthogonal action is diag(-1, ..., -1, +1).  The Givens
+factors of adjacent generators act on at most two adjacent qubits, so runs
+of them are fused into 4x4 gates on a window of the rows of ``u^T``; the
+compile holds ``u^T`` and one scratch array of the same size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,10 +19,11 @@ import numpy as np
 
 from majorana_jm.algebra import (
     DENSE_LIMIT,
-    ScaledMonomial,
     canonical_monomial,
     dense_matrix,
     monomial_action,
+    monomial_bits,
+    parity,
     subsets_of_size,
 )
 
@@ -189,14 +194,66 @@ def givens_factors(o) -> tuple[list[tuple[int, int, float]], bool]:
     return factors, bool(flip)
 
 
+def _window(mask: int, n_modes: int) -> int | None:
+    """``lo`` of a window of adjacent qubits ``lo, lo + 1`` that holds ``mask``, else None."""
+    low = (mask & -mask).bit_length() - 1
+    if n_modes < 2 or mask.bit_length() - 1 - low > 1:
+        return None
+    return min(low, n_modes - 2)
+
+
+def _gate_steps(factors, n_modes: int) -> list:
+    """The Givens factors as steps on the rows of ``u^T``, consecutive ones fused.
+
+    Right-multiplying ``u`` by ``F = cos(t/2) + sin(t/2) gamma_i gamma_j``
+    left-multiplies ``u^T`` by ``F^T``.  A run of consecutive factors whose
+    Jordan-Wigner actions (``flip | zmask``) lie on two adjacent qubits
+    ``lo, lo + 1`` becomes one step ``(lo, (F_1 ... F_m)^T)`` with the 4x4
+    product taken on that window; every factor of adjacent generators fits a
+    window.  A factor that fits none (a closing pi-rotation of distant
+    generators, or any factor at n = 1) is a step
+    ``(None, (theta, flip, phase, zmask))``.
+    """
+    theta = np.array([t for _, _, t in factors])
+    pairs = np.array([1 << i | 1 << j for i, j, _ in factors], dtype=np.int64)
+    flip, phase, zmask = monomial_bits(n_modes, pairs, 0)
+    starts, spans = [], []
+    for k, bits in enumerate((flip | zmask).tolist()):
+        # a span that fits no window never grows into one, so a gather stays alone
+        if spans and _window(spans[-1] | bits, n_modes) is not None:
+            spans[-1] |= bits
+        else:
+            starts.append(k)
+            spans.append(bits)
+    windows = [_window(span, n_modes) for span in spans]
+    bounds = starts + [len(factors)]
+    lo = np.repeat(np.array([w or 0 for w in windows], dtype=np.int64), np.diff(bounds))
+    # each factor on its window: (P @ gamma)[:, t] = P[:, t ^ flip] * d[t]
+    local = np.arange(4)
+    d = (np.sin(theta / 2.0) * phase)[:, None] * parity(local & (zmask >> lo)[:, None])
+    mats = np.zeros((len(factors), 4, 4), dtype=complex)
+    mats[np.arange(len(factors))[:, None], local ^ (flip >> lo & 3)[:, None], local] = d
+    mats[:, local, local] += np.cos(theta / 2.0)[:, None]
+    steps = []
+    for w, a, b in zip(windows, bounds, bounds[1:]):
+        if w is None:
+            steps.append((None, (theta[a], flip[a], phase[a], zmask[a])))
+        else:
+            steps.append((w, functools.reduce(np.matmul, mats[a:b]).T))
+    return steps
+
+
 def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     """Dense unitary U with ``U^dag gamma_j U = sum_j' O[j,j'] gamma_j'``.
 
     The SO part is realized as a product of ``exp(theta/2 gamma_i gamma_j)``
     plane rotations from :func:`givens_factors`; a determinant of -1
-    contributes one extra conjugation by the last generator.  Each factor
-    ``cos + sin gamma_i gamma_j`` is applied matrix-free: the pair monomial
-    is a signed permutation, so right-multiplying costs O(4^n), not a matmul.
+    contributes one extra conjugation by the last generator.  The factors act
+    on the rows of ``u^T``, fused by :func:`_gate_steps`: a window's 4x4 gate
+    is one batched matmul over a reshaped view, and a factor outside every
+    window is a signed row gather (its pair monomial is a signed
+    permutation).  Each step costs O(4^n), and only ``u^T`` and one scratch
+    array of the same size are held; the result is a transposed view.
     """
     arr = _as_array(o)
     if arr.shape[0] != 2 * n_modes:
@@ -204,22 +261,29 @@ def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     if n_modes > DENSE_LIMIT:
         raise ValueError(f"dense limit {DENSE_LIMIT} exceeded")
     factors, flip = givens_factors(arr)
+    dim = 2 ** n_modes
+    basis = np.arange(dim)
+    ut = np.zeros((dim, dim), dtype=complex)
     if flip:
-        u = dense_matrix(canonical_monomial(n_modes, [2 * n_modes]))
+        # gamma_2n |b> = d[b] |b ^ mask>, so its transpose holds d[b] at (b, b ^ mask)
+        mask, d = monomial_action(canonical_monomial(n_modes, [2 * n_modes]))
+        ut[basis, basis ^ mask] = d
     else:
-        u = np.eye(2 ** n_modes, dtype=complex)
-    # work on rows of u^T so the column permutation is a row gather
-    ut = np.ascontiguousarray(u.T)
+        ut[basis, basis] = 1.0
     scratch = np.empty_like(ut)
-    basis = np.arange(2 ** n_modes)
-    for i, j, theta in factors:
-        mask, d = monomial_action(ScaledMonomial(n_modes, 1 << i | 1 << j, 0))
-        # (u @ gamma)[:, b] = u[:, b ^ mask] * d[b]
-        np.take(ut, basis ^ mask, axis=0, out=scratch)
-        scratch *= (math.sin(theta / 2.0) * d)[:, None]
-        ut *= math.cos(theta / 2.0)
-        ut += scratch
-    return np.ascontiguousarray(ut.T)
+    for lo, step in _gate_steps(factors, n_modes):
+        if lo is None:
+            theta, mask, phase, zmask = step
+            # (u @ gamma)[:, b] = u[:, b ^ mask] * d[b]
+            np.take(ut, basis ^ mask, axis=0, out=scratch)
+            scratch *= (math.sin(theta / 2.0) * phase * parity(basis & zmask))[:, None]
+            ut *= math.cos(theta / 2.0)
+            ut += scratch
+        else:
+            shape = (dim >> lo + 2, 4, dim << lo)
+            np.matmul(step, ut.reshape(shape), out=scratch.reshape(shape))
+            ut, scratch = scratch, ut
+    return ut.T
 
 
 def submatrix_det(o, rows, cols) -> float:

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _ARCHIVE_FORMAT = "majorana-jm ensemble v1"
+# shot-log rows formatted per join: bounds the per-row strings alive at once
+_LOG_ROWS = 1024
 
 
 def matrix_to_text(arr: np.ndarray) -> str:
@@ -183,15 +185,12 @@ def shot_log_csv(batch: ShotBatch) -> str:
     ``x_bits`` is the conjugation support mask; ``q_bits`` packs the basis
     outcomes with bit j = (1 - q_j)/2 (mode j+1), both in lowercase hex.
     """
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["shot_id", "r", "x_bits", "q_bits"])
-    packed = batch.q_bits
-    for i in range(len(batch)):
-        writer.writerow(
-            [i, int(batch.r[i]), format(int(batch.conj_mask[i]), "x"), format(int(packed[i]), "x")]
-        )
-    return buf.getvalue()
+    columns = (batch.r, batch.conj_mask, batch.q_bits)
+    parts = ["shot_id,r,x_bits,q_bits\n"]
+    for s in range(0, len(batch), _LOG_ROWS):
+        rows = zip(range(s, s + _LOG_ROWS), *(c[s : s + _LOG_ROWS].tolist() for c in columns))
+        parts.append("".join([f"{i},{r},{x:x},{q:x}\n" for i, r, x, q in rows]))
+    return "".join(parts)
 
 
 def _record_dict(rec: EstimationRecord) -> dict:

@@ -8,9 +8,11 @@ the single-rotation setting follows the two-observable marginal formula.
 Shots are grouped by (rotation, monomial) and groups are processed in
 blocks that stay within one rotation.  Monomials are applied matrix-free
 through the closed form of their Jordan-Wigner action
-(``algebra.monomial_bits``), a signed permutation of the basis, so a block
-costs one gather, one parity call and one matrix product with the rotation's
-compiled unitary; only one unitary is held at a time.  A density matrix is
+(``algebra.monomial_bits``, evaluated once per rotation for all its
+groups), a signed permutation of the basis, so a block of about
+``_BLOCK_BYTES`` (64 KB) costs one gather, one parity call and one matrix
+product with the rotation's compiled unitary; only one unitary is held at a
+time.  A density matrix is
 diagonalized once and its eigenvectors are evolved like pure states.
 Basis-outcome signs are read off the diagonal of the pair monomials'
 action, never assumed (the pair observable maps to -Z under the chosen
@@ -19,9 +21,10 @@ conventions).
 Draws: ``Generator.choice(dim, size, p=p)`` takes ``random(size)`` and
 returns ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum()``
 divided by its last entry.  :func:`simulate_shots` draws ``random(n_shots)``
-once, in the order of the sorted groups, and searches each group's cdf the
-same way, so its shots and the generator state afterwards equal those of
-one ``choice`` call per group.
+once, in the order of the sorted groups, and counts the entries ``<= u`` of
+each shot's group cdf, which on a non-decreasing cdf is that search, so its
+shots and the generator state afterwards equal those of one ``choice`` call
+per group.
 """
 
 from __future__ import annotations
@@ -165,8 +168,10 @@ class ShotBatch:
     @property
     def q_bits(self) -> np.ndarray:
         """Basis outcomes packed as (L,) uint64 masks, bit j = (1 - q_j)/2."""
-        bits = ((1 - self.q) // 2).astype(np.uint64)
-        return (bits << np.arange(self.n_modes, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        bits = np.zeros(len(self.q), dtype=np.uint64)
+        for j in range(self.n_modes):  # one column at a time, not an (L, n) uint64 block
+            bits |= (self.q[:, j] < 0).astype(np.uint64) << np.uint64(j)
+        return bits
 
     def records(self):
         for i in range(len(self.r)):
@@ -206,28 +211,33 @@ def _block_size(rows: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // (16 * rows.size))
 
 
-def _conjugated(rows: np.ndarray, masks, n_modes: int) -> np.ndarray:
-    """``gamma_X v_j`` for every row ``v_j`` and mask ``X``, shape ``(rank, len(masks), 2^n)``.
-
-    ``(gamma_X v)[b] = phase (-1)^|(b ^ flip) & zmask| v[b ^ flip]`` from the
-    masks' closed form: one gather and one parity call per block.
-    """
+def _mask_bits(masks, n_modes: int):
+    """``(flip, phase, zmask)`` arrays of the canonical observable on each support mask."""
     masks = np.asarray(masks, dtype=np.int64)
     size = np.bitwise_count(masks).astype(np.int64)
     # the canonical observable on X carries the phase i**C(|X|, 2)
-    flip, phase, zmask = monomial_bits(n_modes, masks, size * (size - 1) // 2)
-    source = np.arange(2 ** n_modes) ^ flip[:, None]
+    return monomial_bits(n_modes, masks, size * (size - 1) // 2)
+
+
+def _conjugated(rows: np.ndarray, flip, phase, zmask) -> np.ndarray:
+    """``gamma_X v_j`` for every row ``v_j`` and mask ``X``, shape ``(rank, len(flip), 2^n)``.
+
+    ``(gamma_X v)[b] = phase (-1)^|(b ^ flip) & zmask| v[b ^ flip]`` from the
+    masks' closed form (:func:`_mask_bits`): one gather and one parity call
+    per block.
+    """
+    source = np.arange(rows.shape[-1]) ^ flip[:, None]
     return phase[:, None] * parity(source & zmask[:, None]) * rows[:, source]
 
 
-def _born_cdfs(unitary, weights, rows, masks, n_modes: int) -> np.ndarray:
+def _born_cdfs(unitary, weights, rows, flip, phase, zmask) -> np.ndarray:
     """Cumulative Born distributions of one block of groups under one rotation, ``(G, 2^n)``.
 
     ``p_X(b) = sum_j w_j |(U gamma_X v_j)_b|^2``, clipped and normalized per
     group; the cumulative sum is then divided by its last entry, as
     ``Generator.choice`` does.
     """
-    block = _conjugated(rows, masks, n_modes)
+    block = _conjugated(rows, flip, phase, zmask)
     amplitudes = block.reshape(-1, block.shape[-1]) @ unitary.T
     probs = (weights[:, None, None] * (np.abs(amplitudes) ** 2).reshape(block.shape)).sum(axis=0)
     probs = np.clip(probs, 0.0, None)
@@ -235,6 +245,21 @@ def _born_cdfs(unitary, weights, rows, masks, n_modes: int) -> np.ndarray:
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     return cdf
+
+
+def _outcomes(cdfs: np.ndarray, group: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``cdfs[group[i]].searchsorted(uniforms[i], side="right")`` for every shot ``i``.
+
+    On a non-decreasing cdf the count of entries ``<= u`` is that index, so
+    all shots are counted at once; the comparison is cut into chunks of
+    about ``_BLOCK_BYTES``.
+    """
+    out = np.empty(len(group), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * cdfs.shape[1]))
+    for s in range(0, len(group), step):
+        chunk = slice(s, s + step)
+        out[chunk] = (cdfs[group[chunk]] <= uniforms[chunk, None]).sum(axis=1)
+    return out
 
 
 def simulate_shots(
@@ -264,6 +289,7 @@ def simulate_shots(
     starts = np.flatnonzero(first)
     bounds = np.r_[starts, n_shots]
     group_r, group_masks = rs[order[starts]], masks[order[starts]]
+    group = np.cumsum(first) - 1  # each sorted shot's group
     uniforms = rng.random(n_shots)  # the draws of every group's choice call, in group order
     outcomes = np.empty(n_shots, dtype=np.int64)
     weights, rows = _eigenstates(state)
@@ -274,11 +300,12 @@ def simulate_shots(
         if lo == hi:
             continue
         unitary = compile_gaussian_unitary(ensemble.matrices[r].entries, n)
+        bits = _mask_bits(group_masks[lo:hi], n)
         for b in range(lo, hi, step):
-            cdfs = _born_cdfs(unitary, weights, rows, group_masks[b : min(b + step, hi)], n)
-            for g, cdf in enumerate(cdfs, start=b):
-                shots = slice(bounds[g], bounds[g + 1])
-                outcomes[shots] = cdf.searchsorted(uniforms[shots], side="right")
+            e = min(b + step, hi)
+            cdfs = _born_cdfs(unitary, weights, rows, *(a[b - lo : e - lo] for a in bits))
+            shots = slice(bounds[b], bounds[e])
+            outcomes[shots] = _outcomes(cdfs, group[shots] - b, uniforms[shots])
         del unitary  # the next compile must not hold two unitaries at once
     q_out = np.empty((n_shots, n), dtype=np.int8)
     q_out[order] = _pair_sign_table(n)[:, outcomes].T
@@ -523,7 +550,7 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
     step = _block_size(rows)
     for b in range(0, len(distinct), step):
         # tr(gamma_X^dag R gamma_X rho) = sum_j w_j <gamma_X v_j| R |gamma_X v_j>
-        block = _conjugated(rows, distinct[b : b + step], n)
+        block = _conjugated(rows, *_mask_bits(distinct[b : b + step], n))
         means[b : b + step] = weights @ np.real(np.sum(block.conj() * (block @ rotated.T), axis=-1))
     p_plus = (1.0 + means[inverse]) / 2.0
     qs = np.where(rng.random(n_shots) < p_plus, 1, -1).astype(np.int8)[:, None]

@@ -112,6 +112,16 @@ class TestShotLog:
         assert int(xb, 16) < 2 ** 4
         assert int(qb, 16) < 2 ** 2
 
+    def test_rows_match_records(self):
+        rng = np.random.default_rng(3)
+        batch = simulate_shots(FermionicState.random_pure(3, rng), degree2_ensemble(3), 300, rng)
+        text = io.shot_log_csv(batch)
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == 301
+        for rec, line in zip(batch.records(), lines[1:]):
+            q_bits = sum(1 << j for j, v in enumerate(rec.q) if v < 0)
+            assert line == f"{rec.shot_id},{rec.r},{rec.conj_mask:x},{q_bits:x}"
+
 
 class TestCoverageAndSharpnessCsv:
     def test_exact_text_with_uncovered_supports(self):

@@ -1,6 +1,7 @@
 """Tests for orthogonal utilities and Gaussian-unitary compilation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,11 +174,31 @@ class TestCompileMatrixFree:
         assert np.max(np.abs(got - dense_factor_product(o.entries, n))) < 1e-12
 
     def test_structured_rotations_match(self):
-        # permutation-like and Hadamard rotations exercise pi-rotations and zero angles
-        for n in (2, 3, 4):
-            for o in (np.eye(2 * n)[::-1], lower_flat(2 * n).entries):
+        # permutation-like and Hadamard rotations exercise pi-rotations and zero angles;
+        # n = 1 has no two-qubit window, and the windows reach the top qubit
+        for n in (1, 2, 3, 4, 5, 6, 7):
+            flat = lower_flat(2 * n).entries
+            negated = flat.copy()
+            negated[0] *= -1.0  # det -1 for n >= 2
+            # -1 ⊕ flat ⊕ -1 closes with a pi-rotation of generators 1 and 2n,
+            # which no window holds for n >= 3
+            ends = -np.eye(2 * n)
+            if n > 1:
+                ends[1:-1, 1:-1] = lower_flat(2 * n - 2).entries
+            for o in (np.eye(2 * n)[::-1], flat, negated, ends):
                 got = compile_gaussian_unitary(o, n)
                 assert np.max(np.abs(got - dense_factor_product(o, n))) < 1e-12
+
+    def test_compile_holds_two_unitaries(self):
+        # u^T and one scratch array: a third 16 * 4^n array would cross 2.5x
+        o = random_orthogonal(16, np.random.default_rng(8), special=False)
+        tracemalloc.start()
+        try:
+            u = compile_gaussian_unitary(o, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * u.nbytes
 
 
 class TestSubmatrixDet:

@@ -40,7 +40,13 @@ from majorana_jm.sampling import (
     simulate_degree1_shots,
     simulate_shots,
 )
-from majorana_jm.sampling import _born_cdfs, _effective_sharpness, _eigenstates, _target_signs
+from majorana_jm.sampling import (
+    _born_cdfs,
+    _effective_sharpness,
+    _eigenstates,
+    _mask_bits,
+    _target_signs,
+)
 
 
 def bin_shots(batch, n, n_matrices):
@@ -156,7 +162,7 @@ class TestMatrixFreeAgainstDense:
         state = FermionicState.random_pure(n, rng) if pure else random_mixed(n, rng)
         u = compile_gaussian_unitary(random_orthogonal(2 * n, rng), n)
         masks = np.arange(0, 4 ** n, 5, dtype=np.uint64)
-        cdfs = _born_cdfs(u, *_eigenstates(state), masks, n)
+        cdfs = _born_cdfs(u, *_eigenstates(state), *_mask_bits(masks, n))
         for mask, cdf in zip(masks.tolist(), cdfs):
             gx = pauli_dense(to_pauli(ScaledMonomial(n, mask, math.comb(mask.bit_count(), 2))))
             evolved = u @ gx @ state.density() @ gx.conj().T @ u.conj().T
@@ -238,14 +244,15 @@ class TestBatchedSamplerAgainstPerGroupOracle:
     # groups of thousands of shots; singleton groups; a density state at n=6
     @example(n=1, n_rotations=2, pure=True, shots=100_000, block_bytes=1, seed=1)
     @example(n=6, n_rotations=3, pure=True, shots=50, block_bytes=512, seed=2)
-    @example(n=6, n_rotations=2, pure=False, shots=5_000, block_bytes=1 << 16, seed=3)
+    @example(n=6, n_rotations=2, pure=False, shots=5_000, block_bytes=sampling._BLOCK_BYTES, seed=3)
     @example(n=3, n_rotations=3, pure=False, shots=20_000, block_bytes=512, seed=4)
     @given(
         n=st.integers(1, 6),
         n_rotations=st.integers(1, 3),
         pure=st.booleans(),
         shots=st.integers(1, 100_000),
-        block_bytes=st.sampled_from([1, 512, 1 << 16]),
+        # the shipped block size, whatever it is, always among them
+        block_bytes=st.sampled_from([1, 512, 1 << 16, sampling._BLOCK_BYTES]),
         seed=st.integers(0, 2 ** 32 - 1),
     )
     def test_same_shots_and_generator_state(self, n, n_rotations, pure, shots, block_bytes, seed):
@@ -270,6 +277,23 @@ class TestBatchedSamplerAgainstPerGroupOracle:
         assert np.array_equal(batch.conj_mask, masks)
         assert np.array_equal(batch.q, q)
         assert batched.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("block_bytes", [1, sampling._BLOCK_BYTES])
+def test_outcome_count_equals_searchsorted(monkeypatch, block_bytes):
+    # repeated entries (zero-probability outcomes), uniforms equal to an entry or
+    # just below one, and rows whose last entry is exactly 1.0
+    cdfs = np.array(
+        [[0.25, 0.25, 0.5, 1.0], [0.0, 0.0, 0.7, 1.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+    )
+    entries = np.unique(cdfs)
+    draws = np.r_[entries, np.nextafter(entries, 0.0), np.random.default_rng(41).random(50)]
+    group = np.repeat(np.arange(len(cdfs)), len(draws))
+    uniforms = np.tile(draws, len(cdfs))
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", block_bytes)
+    got = sampling._outcomes(cdfs, group, uniforms)
+    want = [cdfs[g].searchsorted(u, side="right") for g, u in zip(group, uniforms)]
+    assert np.array_equal(got, want)
 
 
 def test_compiles_only_rotations_that_drew_shots(monkeypatch):
