@@ -237,11 +237,10 @@ def _cmd_estimate(args):
     from majorana_jm.sampling import (
         EstimationRecord,
         HamiltonianSpec,
+        analytic_estimates,
         estimate_expectations,
         estimate_hamiltonian,
-        exact_expectations,
         predicted_variance,
-        shot_probability_table,
         simulate_shots,
     )
 
@@ -278,9 +277,8 @@ def _cmd_estimate(args):
         return EXIT_UNCOVERED
     ham_record = None
     if args.shots == 0:
-        # one probability table and one sharpness table for targets and terms
-        probs = shot_probability_table(state, ensemble)
-        records = exact_expectations(probs, table, list(targets) + ham_terms)
+        # one sharpness table for targets and terms
+        records = analytic_estimates(state, table, list(targets) + ham_terms)
         records, term_records = records[: len(targets)], records[len(targets) :]
         if ham:
             total = sum(c * r.estimate for (_, c), r in zip(ham.terms, term_records))

@@ -15,6 +15,7 @@ import io as _io
 import json
 import zipfile
 import zlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from majorana_jm.matching import (
     custom_ensemble,
     permutation_cycles,
 )
-from majorana_jm.robustness import RobustnessReport
-from majorana_jm.sampling import EstimationRecord, FermionicState, ShotBatch
+
+if TYPE_CHECKING:  # a command loads robustness or sampling only if it runs them
+    from majorana_jm.robustness import RobustnessReport
+    from majorana_jm.sampling import EstimationRecord, FermionicState, ShotBatch
 
 __all__ = [
     "write_matrix_text",
@@ -264,6 +267,8 @@ def state_from_json(data) -> FermionicState:
     Complex entries appear as ``[re, im]`` pairs or plain reals; qubit 1
     occupies the least-significant bit of the basis index.
     """
+    from majorana_jm.sampling import FermionicState
+
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     n = int(data["n_modes"])

@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -751,6 +750,8 @@ def partition_failure_prob(side: int, half_degree: int) -> float:
     Exact value ``1 - l^{2k} C(l+1, 2k) / C(l(l+1), 2k)`` for the Turan
     graph on ``2n = l(l+1)`` vertices.
     """
+    from fractions import Fraction  # only this reproduction needs it
+
     if side < 1:
         raise ValueError("side must be >= 1")
     if 2 * half_degree > side + 1:

@@ -162,7 +162,11 @@ def effect_table(o_arr, n_modes: int):
 
 
 def outcome_probabilities(o_arr, state_density: np.ndarray, n_modes: int) -> np.ndarray:
-    """Exact ``tr(G(q, x) rho)`` table, shape ``(4^n, 2^n)``."""
+    """Exact ``tr(G(q, x) rho)`` table, shape ``(4^n, 2^n)``.
+
+    A test oracle: no CLI path builds it (the exact mode is
+    :func:`majorana_jm.sampling.analytic_estimates`).
+    """
     _check_oracle_gate(n_modes)
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(o_arr, n_modes)
     weights = np.array([t[2] for t in terms])
@@ -276,14 +280,18 @@ class SharpnessTable:
         table, i = self._locate(subset)
         return table.rows[i]
 
+    def minors(self, subset) -> np.ndarray:
+        """Each rotation's assigned signed minor ``m_r(S)`` for a subset, shape ``(N,)``."""
+        table, i = self._locate(subset)
+        return table.per_matrix[1][:, i]
+
     def mean_sharpness(self, subset) -> float:
         """Sharpness of the uniformly randomized parent for this observable.
 
         Zero when no rotation's minor exceeds ``COVERAGE_TOL``, the threshold
         below which :meth:`assignment` leaves a rotation unassigned.
         """
-        table, i = self._locate(subset)
-        minors = np.abs(table.per_matrix[1][:, i])
+        minors = np.abs(self.minors(subset))
         return float(minors.mean()) if minors.max() > COVERAGE_TOL else 0.0
 
     def assignment(self, r: int, subset):

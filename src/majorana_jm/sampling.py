@@ -66,6 +66,7 @@ __all__ = [
     "estimate_expectations",
     "estimate_hamiltonian",
     "exact_expectations",
+    "analytic_estimates",
     "predicted_variance",
     "degree1_variance",
     "simulate_degree1_shots",
@@ -315,7 +316,9 @@ def simulate_shots(
 def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble):
     """Exact joint distribution over (rotation, monomial mask, q-index).
 
-    Oracle for distribution tests; gated to the dense-parent regime.
+    A test oracle for the shot distribution and, with
+    :func:`exact_expectations`, for :func:`analytic_estimates`; gated to the
+    dense-parent regime.
     """
     from majorana_jm.povm import outcome_probabilities
 
@@ -452,9 +455,9 @@ def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> lis
     """Analytic estimator expectations from the exact outcome table (no sampling).
 
     ``probs`` is :func:`shot_probability_table` of the state and ensemble
-    that ``table`` describes.  Enumerates every outcome of every rotation, so it
-    doubles as an unbiasedness oracle: the result equals ``tr(gamma_S rho)``
-    exactly for covered targets.
+    that ``table`` describes.  Enumerates every outcome of every rotation: a
+    test oracle for unbiasedness and for :func:`analytic_estimates`, which
+    the exact mode runs.
     """
     n = table.n_modes
     masks = np.arange(4 ** n, dtype=np.uint64)
@@ -468,6 +471,30 @@ def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> lis
         for r in np.flatnonzero(tau):  # uncovered rotations draw coins: zero mean
             total += tau[r] * float(x_s @ probs[r] @ parity(q_bits & modes[r]))
         records.append(EstimationRecord(tuple(subset), float(total / eta), 0, 0.0))
+    return records
+
+
+def analytic_estimates(state: FermionicState, table: SharpnessTable, targets) -> list[EstimationRecord]:
+    """Analytic estimator expectations in closed form (no sampling, no outcome table).
+
+    Under rotation r the sign rule's mean is ``tau_r m_r(S) tr(rho gamma_S)``,
+    with ``m_r(S)`` the rotation's assigned minor, so the estimate is
+    ``mean_r(tau_r m_r(S)) tr(rho gamma_S) / eta_eff(S)``.  Rotations that do
+    not cover S (``tau_r = 0``) draw coins and add nothing.  Costs one
+    ``state.expectation`` per distinct target, so it has no dense gate; it
+    equals :func:`exact_expectations` of :func:`shot_probability_table`.
+    """
+    traces = {}
+    records = []
+    for subset in targets:
+        key = tuple(subset)
+        eta = _effective_sharpness(table, subset)
+        _, tau, _ = _sign_rule(table, subset)
+        # tau * m = |m| exactly, so a target every rotation covers has ratio 1.0
+        ratio = float(np.mean(tau * table.minors(subset))) / eta
+        if key not in traces:
+            traces[key] = state.expectation(subset)
+        records.append(EstimationRecord(key, ratio * traces[key], 0, 0.0))
     return records
 
 

@@ -320,6 +320,33 @@ class TestCli:
             ham.expectation(state), abs=1e-10
         )
 
+    def test_estimate_exact_mode_closed_form_at_n8(self, tmp_path, monkeypatch):
+        # the exact mode needs no outcome table, so it runs past the n <= 5 oracle gate
+        from majorana_jm import sampling
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact mode built an outcome table")
+
+        monkeypatch.setattr(sampling, "shot_probability_table", forbidden)
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "8", "--k", "1", "--out", str(ens)) == 0
+        state = FermionicState.random_pure(8, np.random.default_rng(12))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(state))
+        targets = [(1, 2), (3, 16), (5, 9), (1, 4, 7, 16)]
+        rep_path = tmp_path / "est.json"
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--targets", ",".join(f"gamma[{','.join(map(str, s))}]" for s in targets),
+            "--shots", "0", "--out", str(rep_path),
+        )
+        assert code == 0
+        report = json.loads(rep_path.read_text())
+        assert report["mode"] == "exact" and report["n"] == 8
+        assert [tuple(e["target"]) for e in report["estimates"]] == targets
+        for entry in report["estimates"]:
+            assert abs(entry["estimate"] - state.expectation(tuple(entry["target"]))) <= 1e-12
+
     def test_estimate_uncovered_exit5(self, tmp_path, capsys):
         # identity-like single rotation covers only the standard pairs
         from majorana_jm.matching import custom_ensemble
@@ -556,6 +583,33 @@ class TestCli:
         # simulate reads no coverage, so the archive's minors are never scanned
         assert calls == []
         assert len(out.read_text().splitlines()) == 301
+
+
+_IMPORT_PROBE = """
+import json, sys
+import majorana_jm, majorana_jm.cli
+loaded = {"bare": sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")}
+majorana_jm.cli.main(["construct", "--n", "3", "--k", "1", "--out", sys.argv[1]])
+loaded["construct"] = sorted(m for m in sys.modules if m.startswith("majorana_jm."))
+loaded["attribute"] = majorana_jm.sampling.simulate_shots.__module__
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """The package imports no submodule up front; `construct` never loads sampling or robustness."""
+    src = str(Path(majorana_jm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "ens.zip")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded["bare"] == ["majorana_jm.cli"]
+    assert "majorana_jm.matching" in loaded["construct"]
+    assert not {"majorana_jm.sampling", "majorana_jm.robustness"} & set(loaded["construct"])
+    assert loaded["attribute"] == "majorana_jm.sampling"
 
 
 class TestMixedDegreeHamiltonian:

@@ -18,7 +18,7 @@ from majorana_jm.algebra import (
     to_pauli,
 )
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
-from majorana_jm.matching import custom_ensemble, degree2_ensemble
+from majorana_jm.matching import COVERAGE_TOL, custom_ensemble, degree2_ensemble
 from majorana_jm.povm import (
     outcome_probabilities,
     sharpness_table,
@@ -30,6 +30,7 @@ from majorana_jm.sampling import (
     HamiltonianSpec,
     ShotBatch,
     UncoveredTargetError,
+    analytic_estimates,
     degree1_variance,
     estimate_expectations,
     estimate_hamiltonian,
@@ -370,6 +371,61 @@ class TestSignRule:
         for subset in subsets_of_size(2 * n, 2 * half):
             got = _target_signs(batch, table, subset)
             assert np.array_equal(got, loop_target_signs(batch, table, subset), equal_nan=True)
+
+
+def _round_off_rotation(n):
+    """A rotation whose minor for support (1, 3) is round-off (about 2e-17), not zero."""
+    def rot(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    arr = np.eye(2 * n)
+    arr[:4, :4] = np.kron(rot(0.3), rot(0.7))
+    return arr
+
+
+class TestAnalyticEstimates:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        n_random=st.integers(1, 2),
+        pure=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_closed_form_matches_outcome_table(self, n, n_random, pure, seed):
+        rng = np.random.default_rng(seed)
+        mats = [random_orthogonal(2 * n, rng).entries for _ in range(n_random)]
+        ens = custom_ensemble(n, 1, mats + [_round_off_rotation(n)])
+        table = sharpness_table(ens)
+        assert 0.0 < abs(table.minors((1, 3))[-1]) <= COVERAGE_TOL
+        if pure:
+            state = FermionicState.random_pure(n, rng)
+        else:
+            # a rank-3 mixture of random pure states
+            vecs = [FermionicState.random_pure(n, rng).vector for _ in range(3)]
+            weights = rng.dirichlet(np.ones(3))
+            rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+            state = FermionicState(n, density_matrix=rho)
+        targets = [(1, 3)] + subsets_of_size(2 * n, 2)[::3] + subsets_of_size(2 * n, 4)[::5]
+        got = analytic_estimates(state, table, targets)
+        want = exact_expectations(shot_probability_table(state, ens), table, targets)
+        for g, w in zip(got, want):
+            assert g.target == w.target and (g.shots, g.stderr) == (0, 0.0)
+            assert abs(g.estimate - w.estimate) <= 1e-12
+
+    def test_covered_by_every_rotation_is_the_expectation(self):
+        # tau_r m_r(S) = |m_r(S)| exactly, so the ratio to eta_eff is 1.0
+        n = 6
+        rng = np.random.default_rng(9)
+        ens = custom_ensemble(n, 1, [random_orthogonal(2 * n, rng).entries for _ in range(3)])
+        state = FermionicState.random_pure(n, rng)
+        targets = subsets_of_size(2 * n, 2)[::7] + [(1, 2, 5, 11)]
+        for rec in analytic_estimates(state, sharpness_table(ens), targets):
+            assert rec.estimate == state.expectation(rec.target)
+
+    def test_uncovered_target_raises(self):
+        table = sharpness_table(custom_ensemble(2, 1, [np.eye(4)]))
+        with pytest.raises(UncoveredTargetError):
+            analytic_estimates(FermionicState.basis_state(2), table, [(1, 3)])
 
 
 class TestEstimators:
