@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from majorana_jm.algebra import canonical_monomial, subsets_of_size, to_pauli
-
 __all__ = [
     "MappingModel",
     "qubit_parent_sharpness",
@@ -52,6 +50,8 @@ def qubit_parent_sharpness(weight: int) -> float:
 
 def jw_max_weight(n_modes: int, degree: int, cap: int = 2_000_000) -> int:
     """Largest Pauli weight among degree-k observables under Jordan-Wigner."""
+    from majorana_jm.algebra import canonical_monomial, subsets_of_size, to_pauli
+
     if degree == 0:
         return 0
     count = math.comb(2 * n_modes, degree)

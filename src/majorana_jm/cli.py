@@ -146,7 +146,6 @@ def _cmd_construct(args):
 
 def _cmd_validate(args):
     from majorana_jm import io
-    from majorana_jm.povm import parent_validate
 
     ensemble = io.read_ensemble_archive(args.ensemble)
     coverage = ensemble.coverage
@@ -159,6 +158,8 @@ def _cmd_validate(args):
         "orthogonality": "certified",
     }
     if ensemble.n_modes <= 3:
+        from majorana_jm.povm import parent_validate
+
         dense = [
             parent_validate(m.entries, ensemble.n_modes)
             for m in ensemble.matrices

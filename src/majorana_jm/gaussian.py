@@ -17,16 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from majorana_jm.algebra import (
-    DENSE_LIMIT,
-    canonical_monomial,
-    dense_matrix,
-    monomial_action,
-    monomial_bits,
-    parity,
-    subsets_of_size,
-)
-
 __all__ = [
     "OrthogonalMatrix",
     "LowerFlatMatrix",
@@ -214,6 +204,8 @@ def _gate_steps(factors, n_modes: int) -> list:
     generators, or any factor at n = 1) is a step
     ``(None, (theta, flip, phase, zmask))``.
     """
+    from majorana_jm.algebra import monomial_bits, parity
+
     theta = np.array([t for _, _, t in factors])
     pairs = np.array([1 << i | 1 << j for i, j, _ in factors], dtype=np.int64)
     flip, phase, zmask = monomial_bits(n_modes, pairs, 0)
@@ -255,6 +247,9 @@ def compile_gaussian_unitary(o, n_modes: int) -> np.ndarray:
     permutation).  Each step costs O(4^n), and only ``u^T`` and one scratch
     array of the same size are held; the result is a transposed view.
     """
+    # only compiles load the algebra: construct and validate never run one
+    from majorana_jm.algebra import DENSE_LIMIT, canonical_monomial, monomial_action, parity
+
     arr = _as_array(o)
     if arr.shape[0] != 2 * n_modes:
         raise ValueError("matrix size must be 2 * n_modes")
@@ -309,6 +304,8 @@ def minor_expansion_check(o, subset, n_modes: int) -> float:
     Evaluates ``U^dag gamma_S U - sum_S' det(O_{S,S'}) gamma_S'`` in max norm;
     the sum runs over all supports of size ``|S|``.
     """
+    from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
+
     arr = _as_array(o)
     u = compile_gaussian_unitary(arr, n_modes)
     g = dense_matrix(canonical_monomial(n_modes, subset))

@@ -10,7 +10,6 @@ convention used throughout.
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 import zipfile
@@ -50,8 +49,8 @@ __all__ = [
 ]
 
 _ARCHIVE_FORMAT = "majorana-jm ensemble v1"
-# shot-log rows formatted per join: bounds the per-row strings alive at once
-_LOG_ROWS = 1024
+# CSV rows formatted per join: bounds the per-row strings alive at once
+_JOIN_ROWS = 1024
 
 
 def matrix_to_text(arr: np.ndarray) -> str:
@@ -87,27 +86,30 @@ def _bracketed(index_sets) -> list[str]:
     return ['"[' + ",".join(map(str, s)) + ']"' for s in index_sets]
 
 
-def _coverage_fields(table: MinorTable):
-    """Per support: its quoted S, 1-based r, quoted R and eta.
+def _coverage_blocks(table: MinorTable):
+    """Yield, per block of ``_JOIN_ROWS`` supports, each one's quoted S, 1-based r, quoted R and eta.
 
     An uncovered support reads ``r = 0``, ``R = ""`` and ``eta = 0.0``, as
     in :attr:`MinorTable.rows`, which these fields print without building.
     """
     eta, r_idx, rows_idx = table.best
-    covered = eta > COVERAGE_TOL
     row_text = _bracketed(table.row_sets)
-    return zip(
-        _bracketed(table.supports),
-        np.where(covered, r_idx + 1, 0).tolist(),
-        [row_text[i] if ok else "" for i, ok in zip(rows_idx.tolist(), covered.tolist())],
-        np.where(covered, eta, 0.0).tolist(),
-    )
+    for lo in range(0, len(eta), _JOIN_ROWS):
+        block = slice(lo, lo + _JOIN_ROWS)
+        covered = eta[block] > COVERAGE_TOL
+        yield zip(
+            _bracketed(table.supports[block]),
+            np.where(covered, r_idx[block] + 1, 0).tolist(),
+            [row_text[i] if ok else "" for i, ok in zip(rows_idx[block].tolist(), covered.tolist())],
+            np.where(covered, eta[block], 0.0).tolist(),
+        )
 
 
 def coverage_csv(table: MinorTable) -> str:
-    lines = ["S,r,R,eta"]
-    lines += [f"{s},{r or ''},{rows},{eta:.17g}" for s, r, rows, eta in _coverage_fields(table)]
-    return "\n".join(lines) + "\n"
+    parts = ["S,r,R,eta\n"]
+    for fields in _coverage_blocks(table):
+        parts.append("".join([f"{s},{r or ''},{rows},{eta:.17g}\n" for s, r, rows, eta in fields]))
+    return "".join(parts)
 
 
 def sharpness_csv(table) -> str:
@@ -117,11 +119,14 @@ def sharpness_csv(table) -> str:
     ``eta_effective = eta_S / N``.
     """
     n_matrices = table.n_matrices
-    lines = ["S,r,R,eta_RS,eta_S,eta_effective"]
-    for s, r, rows, eta in _coverage_fields(table.coverage):
-        text = format(eta, ".17g")
-        lines.append(f"{s},{r},{rows or '[]'},{text},{text},{eta / n_matrices:.17g}")
-    return "\n".join(lines) + "\n"
+    parts = ["S,r,R,eta_RS,eta_S,eta_effective\n"]
+    for fields in _coverage_blocks(table.coverage):
+        lines = []
+        for s, r, rows, eta in fields:
+            text = format(eta, ".17g")
+            lines.append(f"{s},{r},{rows or '[]'},{text},{text},{eta / n_matrices:.17g}\n")
+        parts.append("".join(lines))
+    return "".join(parts)
 
 
 def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> str:
@@ -190,8 +195,8 @@ def shot_log_csv(batch: ShotBatch) -> str:
     """
     columns = (batch.r, batch.conj_mask, batch.q_bits)
     parts = ["shot_id,r,x_bits,q_bits\n"]
-    for s in range(0, len(batch), _LOG_ROWS):
-        rows = zip(range(s, s + _LOG_ROWS), *(c[s : s + _LOG_ROWS].tolist() for c in columns))
+    for s in range(0, len(batch), _JOIN_ROWS):
+        rows = zip(range(s, s + _JOIN_ROWS), *(c[s : s + _JOIN_ROWS].tolist() for c in columns))
         parts.append("".join([f"{i},{r},{x:x},{q:x}\n" for i, r, x, q in rows]))
     return "".join(parts)
 
@@ -233,6 +238,8 @@ def robustness_report_json(report: RobustnessReport, status: str = "ok") -> str:
 
 
 def comparison_csv(rows) -> str:
+    import csv  # only compare writes through csv; the module costs about 0.1 MB of RSS
+
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = [

@@ -301,10 +301,6 @@ class SharpnessTable:
         det = float(vals[r - 1, i])
         return (table.row_sets[int(best[r - 1, i])] if abs(det) > COVERAGE_TOL else None), det
 
-    @property
-    def min_mean_sharpness(self) -> float:
-        return float(np.abs(self.coverage.per_matrix[1]).mean(axis=0).min())
-
 
 def sharpness_table(ensemble: MeasurementEnsemble) -> SharpnessTable:
     return SharpnessTable(ensemble)

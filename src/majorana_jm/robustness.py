@@ -30,14 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import (
-    canonical_monomial,
-    dense_matrix,
-    monomial_product,
-    subsets_of_size,
-    support_to_indices,
-)
-
 __all__ = [
     "SignSection",
     "TournamentMatrix",
@@ -85,6 +77,8 @@ class SignSection:
 
     @property
     def supports(self) -> list[tuple[int, ...]]:
+        from majorana_jm.algebra import subsets_of_size
+
         return subsets_of_size(2 * self.n_modes, self.degree)
 
     def __str__(self) -> str:
@@ -363,6 +357,9 @@ def _search(n_modes: int, degree: int, budget: int) -> tuple[float, tuple[int, .
     upper bound, which no later section can then exceed by ``_NORM_TOL``.
     Returns None when the sections outnumber ``budget``.
     """
+    # the searches load the algebra; compare and the bounds never need it
+    from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
+
     if n_modes < 1 or not 1 <= degree <= 2 * n_modes:
         raise ValueError(
             f"need n >= 1 and degree in 1..2n, got n={n_modes}, degree={degree}"
@@ -489,6 +486,8 @@ def _dual_signs(n_modes: int, degree: int, dual_signs) -> tuple[int, ...]:
     sum is the dual sum up to one common factor ``1`` or ``i``, and ``G`` is
     unitary, so both norms agree.
     """
+    from majorana_jm.algebra import canonical_monomial, monomial_product, subsets_of_size, support_to_indices
+
     two_n = 2 * n_modes
     full = canonical_monomial(n_modes, (1 << two_n) - 1)
     dual_index = {s: j for j, s in enumerate(subsets_of_size(two_n, two_n - degree))}
@@ -536,7 +535,6 @@ def _construction_lower(n_modes: int, half_degree: int, seed: int) -> float | No
     a true joint-measurability witness and hence a lower bound.
     """
     from majorana_jm.matching import CoverageError, degree2_ensemble, degree2k_ensemble
-    from majorana_jm.povm import sharpness_table
 
     try:
         if half_degree == 1:
@@ -545,4 +543,5 @@ def _construction_lower(n_modes: int, half_degree: int, seed: int) -> float | No
             ens = degree2k_ensemble(n_modes, half_degree, seed=seed)
     except (ValueError, CoverageError):
         return None
-    return sharpness_table(ens).min_mean_sharpness
+    # the worst support's mean |minor| over the rotations, read off the table
+    return float(np.abs(ens.coverage.per_matrix[1]).mean(axis=0).min())

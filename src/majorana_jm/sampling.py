@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,13 +47,9 @@ from majorana_jm.algebra import (
 )
 from majorana_jm.gaussian import compile_gaussian_unitary, submatrix_det
 from majorana_jm.matching import MeasurementEnsemble
-from majorana_jm.povm import (
-    PARENT_ORACLE_LIMIT,
-    SharpnessTable,
-    sharpness_table,
-    two_observable_correlation,
-    x_string_from_subset,
-)
+
+if TYPE_CHECKING:  # simulate never loads povm; the functions that use it import it
+    from majorana_jm.povm import SharpnessTable
 
 __all__ = [
     "FermionicState",
@@ -320,7 +317,7 @@ def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble)
     :func:`exact_expectations`, for :func:`analytic_estimates`; gated to the
     dense-parent regime.
     """
-    from majorana_jm.povm import outcome_probabilities
+    from majorana_jm.povm import PARENT_ORACLE_LIMIT, outcome_probabilities
 
     n = state.n_modes
     if n > PARENT_ORACLE_LIMIT:
@@ -504,6 +501,8 @@ def predicted_variance(ham: HamiltonianSpec, o_arr, state: FermionicState) -> fl
     Requires the fixed single-rotation, fixed-R(S) setting; the cross terms
     couple through the two-observable marginal coefficient.
     """
+    from majorana_jm.povm import sharpness_table, two_observable_correlation
+
     arr = np.asarray(o_arr, dtype=float)
     n = state.n_modes
     assignment = {}
@@ -558,6 +557,8 @@ def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
     by a uniform monomial and measures the single binary outcome; returns
     the per-shot sign strings ``e_j = q * x_j`` as an (L, 2n) array.
     """
+    from majorana_jm.povm import x_string_from_subset
+
     n = state.n_modes
     two_n = 2 * n
     eta = 1.0 / math.sqrt(two_n)

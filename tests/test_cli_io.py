@@ -588,27 +588,41 @@ class TestCli:
 _IMPORT_PROBE = """
 import json, sys
 import majorana_jm, majorana_jm.cli
-loaded = {"bare": sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")}
-majorana_jm.cli.main(["construct", "--n", "3", "--k", "1", "--out", sys.argv[1]])
-loaded["construct"] = sorted(m for m in sys.modules if m.startswith("majorana_jm."))
-loaded["attribute"] = majorana_jm.sampling.simulate_shots.__module__
-print(json.dumps(loaded))
+def loaded():
+    return sorted(m[len("majorana_jm."):] for m in sys.modules if m.startswith("majorana_jm."))
+seen = {"bare": sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")}
+ens, state, shots = sys.argv[1:]
+with open(state, "w") as fh:
+    json.dump({"n_modes": 4, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 15}, fh)
+majorana_jm.cli.main(["construct", "--n", "4", "--k", "1", "--out", ens])
+seen["construct"] = loaded()
+majorana_jm.cli.main(["validate", "--ensemble", ens])
+seen["validate"] = loaded()
+majorana_jm.cli.main(
+    ["simulate", "--state", state, "--ensemble", ens, "--shots", "5", "--seed", "1", "--out", shots]
+)
+seen["simulate"] = loaded()
+seen["attribute"] = majorana_jm.sampling.simulate_shots.__module__
+print(json.dumps(seen))
 """
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
-    """The package imports no submodule up front; `construct` never loads sampling or robustness."""
+    """The package imports no submodule up front, and each command loads only what it calls."""
     src = str(Path(majorana_jm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [str(tmp_path / name) for name in ("ens.zip", "state.json", "shots.csv")]
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "ens.zip")],
+        [sys.executable, "-c", _IMPORT_PROBE, *paths],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     loaded = json.loads(out.stdout.splitlines()[-1])
     assert loaded["bare"] == ["majorana_jm.cli"]
-    assert "majorana_jm.matching" in loaded["construct"]
-    assert not {"majorana_jm.sampling", "majorana_jm.robustness"} & set(loaded["construct"])
+    # no compile in construct or validate (n > 3): no algebra, no povm
+    assert loaded["construct"] == ["cli", "gaussian", "io", "matching"]
+    assert loaded["validate"] == loaded["construct"]
+    assert loaded["simulate"] == ["algebra", "cli", "gaussian", "io", "matching", "sampling"]
     assert loaded["attribute"] == "majorana_jm.sampling"
 
 

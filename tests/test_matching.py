@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from majorana_jm import _laplace
 from majorana_jm.gaussian import lower_flat, random_orthogonal, submatrix_det
 from majorana_jm.matching import (
     COVERAGE_TOL,
@@ -339,6 +340,28 @@ def _argmax_scan(arrays, n, half):
 KINDS = ["random", "permutation", "lower_flat", "blocks", "tiny"]
 
 
+def _structural_zeros(arr, rows, cols):
+    """``(nR, nS)``: True where ``arr[R, S] != 0`` has no perfect matching, so every Leibniz term is 0."""
+    perms = np.array(list(itertools.permutations(range(rows.shape[1]))))
+    pattern = (arr != 0)[rows[:, None, :, None], cols[None, :, None, :]]
+    return ~pattern[..., np.arange(rows.shape[1]), perms].all(axis=-1).any(axis=-1)
+
+
+def _assert_degree4_rule(arrays, n, got):
+    """The Laplace scan against the LAPACK block argmax: the same best row sets,
+    exactly +0.0 where every row set's minor is structurally zero, and every
+    minor within 1e-15."""
+    best, minors = got
+    ref_best, ref_minors = _argmax_scan(arrays, n, 2)
+    assert np.array_equal(best, ref_best)
+    rows = np.array(diag_index_sets(n, 2)) - 1
+    cols = np.array(list(itertools.combinations(range(2 * n), 4)))
+    for arr, vals in zip(arrays, minors):
+        zero = _structural_zeros(arr, rows, cols).all(axis=0)
+        assert not vals[zero].view(np.int64).any()
+    assert np.max(np.abs(minors - ref_minors)) <= 1e-15
+
+
 class TestMinorDets:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -366,13 +389,56 @@ class TestMinorDets:
     def test_scan_bitwise_equal_to_block_argmax(self, n, half, seed, layout, kind):
         # repeated matrices tie exactly across rotations, and the tiny
         # rotation has supports whose every rounded minor is zero, where
-        # row set 0's own signed minor must be kept
+        # row set 0's own signed minor must be kept; at 2k = 4 the minors
+        # come from the Laplace expansion, not LAPACK, so the last bits differ
         rng = np.random.default_rng(seed)
         base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
         arrays = [base[b] for b in layout]
         got = scan_minors(arrays, n, half).per_matrix
+        if half == 2:
+            _assert_degree4_rule(arrays, n, got)
+            return
         for g, ref in zip(got, _argmax_scan(arrays, n, half)):
             assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2 ** 32 - 1),
+        layout=st.sampled_from([(0,), (0, 1), (0, 0), (1, 0, 1)]),
+        kind=st.sampled_from(KINDS),
+    )
+    def test_degree4_kernel_matches_dense_oracle(self, n, seed, layout, kind):
+        rng = np.random.default_rng(seed)
+        base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
+        arrays = [base[b] for b in layout]
+        _assert_degree4_rule(arrays, n, scan_minors(arrays, n, 2).per_matrix)
+
+    def test_laplace_chunks_match_one_chunk(self, monkeypatch):
+        # a dense rotation's layers run over several chunks of a few pairs
+        arr = random_orthogonal(12, np.random.default_rng(3)).entries
+        whole = scan_minors([arr], 6, 2).per_matrix
+        monkeypatch.setattr(_laplace, "_PAIR_CHUNK", 7)
+        for got, ref in zip(scan_minors([arr], 6, 2).per_matrix, whole):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_many_components_fall_back_to_numbered_keys(self):
+        # a signed permutation of 28 generators has 28 components, too many
+        # for base-5 count keys of 4-sets: each row set meets exactly the
+        # support its rows map to, in a minor of +-1
+        arr = _rotation("permutation", 28, np.random.default_rng(5))
+        table = scan_minors([arr], 14, 2)
+        best, minors = table.per_matrix
+        expected_best = np.zeros(len(table.supports), dtype=np.int64)
+        expected = np.zeros(len(table.supports))
+        for i, rows in enumerate(table.row_sets):
+            r = np.array(rows) - 1
+            image = np.sort(np.flatnonzero(arr[r].any(axis=0)))
+            j = table.index[tuple(image + 1)]
+            expected_best[j] = i
+            expected[j] = np.linalg.det(arr[np.ix_(r, image)])
+        assert np.array_equal(best[0], expected_best)
+        assert np.array_equal(minors[0], expected)
 
     def test_all_zero_support_keeps_row_set_0_minor(self):
         arr = _rotation("tiny", 4, np.random.default_rng(0))
@@ -391,14 +457,14 @@ class TestMinorDets:
             arr = degree2k_ensemble(10, 2, seed=1).arrays()[0]
         else:
             arr = random_orthogonal(20, np.random.default_rng(1)).entries
-        det = np.linalg.det
+        dets = _laplace._degree4_dets
         counted = []
 
-        def counting(a):
-            counted.append(len(a))
-            return det(a)
+        def counting(pair_minors, offsets, splits, i, j):
+            counted.append(len(i))
+            return dets(pair_minors, offsets, splits, i, j)
 
-        monkeypatch.setattr(np.linalg, "det", counting)
+        monkeypatch.setattr(_laplace, "_degree4_dets", counting)
         scan_minors([arr], 10, 2)
         share = sum(counted) / (math.comb(10, 2) * math.comb(20, 4))
         if kind == "degree2k":
