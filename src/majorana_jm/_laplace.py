@@ -14,6 +14,8 @@ import itertools
 
 import numpy as np
 
+from majorana_jm.matching import _pair_chunks
+
 # The six column pairs of a degree-4 support in combinations order: pair t
 # goes to the first row pair and its complement, pair 5 - t, to the second,
 # with sign _LAPLACE_SIGNS[t].
@@ -42,23 +44,6 @@ def split_table(n_modes: int, cols: np.ndarray):
     return left, right, pairs, offsets
 
 
-def _layers(keys: np.ndarray) -> list[np.ndarray]:
-    """Row set indices by rank among equal keys: layer ``m`` holds each key's ``m``-th row set.
-
-    Row sets of one key share their group of supports, and those of
-    different keys share none, so no support occurs twice in a layer and
-    each support meets its row sets in ascending order across the layers.
-    """
-    seen: dict[int, int] = {}
-    layers: list[list[int]] = []
-    for i, key in enumerate(keys.tolist()):
-        rank = seen[key] = seen.get(key, -1) + 1
-        if rank == len(layers):
-            layers.append([])
-        layers[rank].append(i)
-    return [np.array(layer) for layer in layers]
-
-
 def _degree4_dets(pair_minors: np.ndarray, offsets: np.ndarray, pairs: np.ndarray, i, j) -> np.ndarray:
     """``det(O[R_i, S_j])`` as the Laplace sum over the 2x2 minors of the row pairs.
 
@@ -83,23 +68,11 @@ def grouped_minors(arr: np.ndarray, splits, bounds):
 
     ``splits`` is :func:`split_table`'s result and ``bounds`` that of
     ``matching._group_bounds``.  One table holds the 2x2 minor of every
-    standard row pair on every column pair, and each minor is read off it.
-    The row sets go layer by layer (:func:`_layers`), each layer's
-    ``(R, S)`` pairs in chunks of at most ``_PAIR_CHUNK``, so a chunk never
-    holds a support twice and each support's row sets arrive in ascending
-    order.
+    standard row pair on every column pair, and each minor is read off it,
+    in the chunks of ``matching._pair_chunks``.
     """
     left, right, pairs, offsets = splits
-    order, lo, hi, row_keys = bounds
     up, down = arr[0::2], arr[1::2]
     pair_minors = (up[:, left] * down[:, right] - up[:, right] * down[:, left]).ravel()
-    for layer in _layers(row_keys):
-        sizes = hi[layer] - lo[layer]
-        ends = np.cumsum(sizes)
-        shift = lo[layer] - (ends - sizes)  # from a pair's flat index to its place in order
-        total = int(ends[-1])
-        for start in range(0, total, _PAIR_CHUNK):
-            flat = np.arange(start, min(start + _PAIR_CHUNK, total))
-            at = np.searchsorted(ends, flat, side="right")
-            i, j = layer[at], order[flat + shift[at]]
-            yield i, j, _degree4_dets(pair_minors, offsets, pairs, i, j)
+    for i, j in _pair_chunks(bounds, _PAIR_CHUNK):
+        yield i, j, _degree4_dets(pair_minors, offsets, pairs, i, j)

@@ -98,7 +98,7 @@ def _coverage_blocks(table: MinorTable):
         block = slice(lo, lo + _JOIN_ROWS)
         covered = eta[block] > COVERAGE_TOL
         yield zip(
-            _bracketed(table.supports[block]),
+            _bracketed((table.cols[block] + 1).tolist()),
             np.where(covered, r_idx[block] + 1, 0).tolist(),
             [row_text[i] if ok else "" for i, ok in zip(rows_idx[block].tolist(), covered.tolist())],
             np.where(covered, eta[block], 0.0).tolist(),

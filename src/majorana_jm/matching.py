@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -396,24 +397,26 @@ class CoverageRow:
 class MinorTable:
     """Each rotation's reductions of its minors ``det(O_{R,S})`` at one degree.
 
-    ``per_matrix`` is ``(best, minors)``, both ``(N, nS)``: for matrix ``r``
-    (0-based) and support ``supports[j]``, the diagonal row set
-    ``row_sets[best[r, j]]`` maximizes ``|det|`` rounded to 12 decimals (the
-    first row set winning ties) and ``minors[r, j]`` is its signed minor.
-    Coverage, sharpness and the sign rule read only these, as
+    ``cols`` holds the supports, 0-based, one row each in combinations
+    order, and ``row_sets`` the diagonal row sets as 1-based tuples.
+    ``per_matrix`` is ``(best, minors)``, both ``(N, nS)``: for matrix
+    ``r`` (0-based) and support ``j``, the diagonal row set
+    ``row_sets[best[r, j]]`` maximizes ``|det|`` rounded to 12 decimals
+    (the first row set winning ties) and ``minors[r, j]`` is its signed
+    minor; ``best`` has the smallest unsigned type that holds a row set
+    index.  Coverage, sharpness and the sign rule read only these, as
     ``eta_S = max_R |det(O_{R,S})|``; ``rows`` is the coverage certificate,
     one :class:`CoverageRow` per support with uncovered supports flagged.
+    Support tuples are made only where asked for: ``index`` maps one to
+    its position by its lexicographic rank.
     """
 
-    def __init__(self, half_degree: int, supports, row_sets, best: np.ndarray, minors: np.ndarray):
-        self.half_degree = half_degree
-        self.supports = supports
-        self.row_sets = row_sets
+    def __init__(self, sets: _IndexSets, best: np.ndarray, minors: np.ndarray):
+        self.half_degree = sets.half_degree
+        self.cols = sets.cols
+        self.row_sets = sets.row_sets
+        self.index = _SupportRank(2 * sets.n_modes, 2 * sets.half_degree)
         self.per_matrix = (best, minors)
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {s: j for j, s in enumerate(self.supports)}
 
     @cached_property
     def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,32 +428,35 @@ class MinorTable:
         ``eta = 0`` and index ``-1``.
         """
         winners, minors = self.per_matrix
-        n_s = len(self.supports)
+        n_s = len(self.cols)
         eta = np.zeros(n_s)
         best_r = np.full(n_s, -1, dtype=np.int64)
         best_rows = np.full(n_s, -1, dtype=np.int64)
-        for r, (rows, vals) in enumerate(zip(winners, np.abs(minors))):
+        for r, (rows, signed) in enumerate(zip(winners, minors)):
+            vals = np.abs(signed)
             better = vals > eta + COVERAGE_TOL
             eta[better] = vals[better]
             best_r[better] = r
             best_rows[better] = rows[better]
         return eta, best_r, best_rows
 
+    def row_at(self, j: int) -> CoverageRow:
+        """The global best ``(r, R)`` and ``eta`` of support ``j``."""
+        eta, r_idx, rows_idx = self.best
+        subset = tuple((self.cols[j] + 1).tolist())
+        if eta[j] > COVERAGE_TOL:
+            return CoverageRow(subset, int(r_idx[j]) + 1, self.row_sets[int(rows_idx[j])], float(eta[j]))
+        return CoverageRow(subset, None, None, 0.0)
+
     @cached_property
     def rows(self) -> tuple[CoverageRow, ...]:
-        """The global best ``(r, R)`` and ``eta`` per support, in support order."""
-        eta, r_idx, rows_idx = self.best
-        return tuple(
-            CoverageRow(subset, int(r_idx[j]) + 1, self.row_sets[int(rows_idx[j])], float(eta[j]))
-            if eta[j] > COVERAGE_TOL
-            else CoverageRow(subset, None, None, 0.0)
-            for j, subset in enumerate(self.supports)
-        )
+        """:meth:`row_at` of every support, in support order."""
+        return tuple(self.row_at(j) for j in range(len(self.cols)))
 
     @property
     def uncovered(self) -> tuple[tuple[int, ...], ...]:
         eta = self.best[0]
-        return tuple(self.supports[j] for j in np.flatnonzero(eta <= COVERAGE_TOL))
+        return tuple(map(tuple, (self.cols[eta <= COVERAGE_TOL] + 1).tolist()))
 
     @property
     def min_eta(self) -> float:
@@ -459,7 +465,32 @@ class MinorTable:
         return float(np.where(eta > COVERAGE_TOL, eta, 0.0).min())
 
     def row_for(self, subset) -> CoverageRow:
-        return self.rows[self.index[tuple(subset)]]
+        return self.row_at(self.index[tuple(subset)])
+
+
+class _SupportRank:
+    """Position of a support among the ``size``-subsets of ``1..n_indices`` in combinations order.
+
+    ``rank[s]`` is the lexicographic rank of the ascending tuple ``s``,
+    ``C(n, m) - 1 - sum_t C(n - s_t, m - t)`` for ``s = (s_1, ..., s_m)``;
+    anything that is not an ascending ``size``-tuple of integers in
+    ``1..n_indices`` raises ``KeyError``, as a lookup in a dict of every
+    support would.
+    """
+
+    def __init__(self, n_indices: int, size: int):
+        self.n_indices = n_indices
+        self.size = size
+
+    def __getitem__(self, support) -> int:
+        try:
+            s = [operator.index(v) for v in support]
+        except TypeError:
+            raise KeyError(support) from None
+        n, m = self.n_indices, self.size
+        if len(s) != m or not all(a < b for a, b in zip([0, *s], [*s, n + 1])):
+            raise KeyError(support)
+        return math.comb(n, m) - 1 - sum(math.comb(n - v, m - t) for t, v in enumerate(s))
 
 
 @dataclass(frozen=True)
@@ -641,29 +672,46 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
             )
 
 
-def _index_array(index_sets, n_indices: int) -> np.ndarray:
-    """The 1-based index tuples of one size, all at most ``n_indices``, as a 0-based array.
+def _combinations(n_items: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``range(n_items)`` in combinations order, as a ``(count, size)`` array.
 
-    The ``(count, size)`` array has the smallest unsigned type that holds
-    the indices: it is kept for the whole process by :func:`_index_sets`.
+    Its type is the smallest unsigned one that holds ``n_items``, so the
+    1-based subsets fit too.  The subsets starting at ``f`` are ``f``
+    followed by the ``(size - 1)``-subsets above ``f``, a tail of the
+    previous size's list, so each size is one pass over the starts.
+    ``np.fromiter`` over ``itertools.combinations`` gives the same array
+    but raised every command's peak RSS by about 0.2 MB.
     """
-    size = len(index_sets[0])
-    flat = np.fromiter(itertools.chain.from_iterable(index_sets), np.int64, len(index_sets) * size)
-    return (flat.reshape(len(index_sets), size) - 1).astype(np.min_scalar_type(n_indices))
+    combos = np.arange(n_items, dtype=np.min_scalar_type(n_items))[:, None]
+    for width in range(2, size + 1):
+        tails = np.searchsorted(combos[:, 0], np.arange(1, n_items - width + 2))
+        out = np.empty((math.comb(n_items, width), width), dtype=combos.dtype)
+        at = 0
+        for first, tail in enumerate(tails.tolist()):
+            count = len(combos) - tail
+            out[at : at + count, 0] = first
+            out[at : at + count, 1:] = combos[tail:]
+            at += count
+        combos = out
+    return combos
 
 
 class _IndexSets:
-    """The supports and diagonal row sets of one ``(n, k)``, as tuples and 0-based arrays.
+    """The supports and diagonal row sets of one ``(n, k)``, as 0-based arrays.
 
-    Every :class:`MinorTable` of that ``(n, k)`` shares the two tuples.
+    Every :class:`MinorTable` of that ``(n, k)`` shares them.  The supports
+    are kept only as the ``(nS, 2k)`` array ``cols``; the few row sets are
+    also kept as 1-based tuples.  ``best_dtype`` is the smallest unsigned
+    type that holds a row set index.
     """
 
     def __init__(self, n_modes: int, half_degree: int):
         self.n_modes = n_modes
-        self.supports = tuple(itertools.combinations(range(1, 2 * n_modes + 1), 2 * half_degree))
+        self.half_degree = half_degree
+        self.cols = _combinations(2 * n_modes, 2 * half_degree)
         self.row_sets = tuple(diag_index_sets(n_modes, half_degree))
-        self.cols = _index_array(self.supports, 2 * n_modes)  # (nS, 2k)
-        self.rows = _index_array(self.row_sets, 2 * n_modes)  # (nR, 2k)
+        self.rows = (np.array(self.row_sets) - 1).astype(self.cols.dtype)
+        self.best_dtype = np.min_scalar_type(len(self.row_sets) - 1)
 
     @cached_property
     def splits(self):
@@ -678,33 +726,78 @@ def _index_sets(n_modes: int, half_degree: int) -> _IndexSets:
     return _IndexSets(n_modes, half_degree)
 
 
+def _layers(keys: np.ndarray) -> list[np.ndarray]:
+    """Row set indices by rank among equal keys: layer ``m`` holds each key's ``m``-th row set.
+
+    Row sets of one key share their group of supports, and those of
+    different keys share none, so no support occurs twice in a layer and
+    each support meets its row sets in ascending order across the layers.
+    """
+    seen: dict[int, int] = {}
+    layers: list[list[int]] = []
+    for i, key in enumerate(keys.tolist()):
+        rank = seen[key] = seen.get(key, -1) + 1
+        if rank == len(layers):
+            layers.append([])
+        layers[rank].append(i)
+    return [np.array(layer) for layer in layers]
+
+
+def _pair_chunks(bounds, chunk: int):
+    """Yield ``(i, j)``: every (row set, support) pair of the grouping ``bounds``, in chunks.
+
+    ``bounds`` is the result of :func:`_group_bounds`.  The row sets go
+    layer by layer (:func:`_layers`), each layer's pairs in chunks of at
+    most ``chunk``, so a chunk never holds a support twice and each
+    support's row sets arrive in ascending order.
+    """
+    order, lo, hi, row_keys = bounds
+    for layer in _layers(row_keys):
+        sizes = hi[layer] - lo[layer]
+        ends = np.cumsum(sizes)
+        shift = lo[layer] - (ends - sizes)  # from a pair's flat index to its place in order
+        total = int(ends[-1])
+        for start in range(0, total, chunk):
+            flat = np.arange(start, min(start + chunk, total))
+            at = np.searchsorted(ends, flat, side="right")
+            yield layer[at], order[flat + shift[at]]
+
+
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
-    Each matrix's nonzero minors come in chunks, one row set's group at a
-    time from :func:`_minor_groups` (LAPACK), or at ``2k = 4`` by Laplace
-    expansion from :mod:`majorana_jm._laplace`, and are reduced straight into
-    that matrix's ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))``
-    block is held.  Row set 0 assigns its group; a later row set replaces
-    an entry only when its ``|det|`` rounded to 12 decimals is strictly
-    larger.  That is the first-wins argmax over the block: a support no
-    row set matches keeps row set 0 and minor ``0.0``.  At ``2k = 4`` the
-    minors agree with LAPACK's to rounding (about 1e-16), not bit for bit.
-    The index sets are built once per ``(n, k)`` and process.
+    Each matrix's nonzero minors come in chunks and are reduced straight
+    into that matrix's ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))``
+    block is held.  At ``2k = 2`` they come one row set's group at a time
+    from :func:`_minor_groups` (LAPACK); at ``2k = 4`` by Laplace expansion
+    (:mod:`majorana_jm._laplace`); at ``2k >= 6`` as products of the
+    minors of the matrix's components (:mod:`majorana_jm._blockminors`),
+    or from LAPACK where the matrix is one component.  Row set 0 assigns
+    its group; a later row set replaces an entry only when its ``|det|``
+    rounded to 12 decimals is strictly larger.  That is the first-wins
+    argmax over the block: a support no row set matches keeps row set 0
+    and minor ``0.0``.  Off LAPACK the minors agree with LAPACK's to
+    rounding (about 1e-16), not bit for bit.  The index sets are built
+    once per ``(n, k)`` and process.
     """
     sets = _index_sets(n_modes, half_degree)
-    best = np.zeros((len(arrays), len(sets.supports)), dtype=np.int64)
+    best = np.zeros((len(arrays), len(sets.cols)), dtype=sets.best_dtype)
     minors = np.zeros(best.shape)
     for r, arr in enumerate(arrays):
         bounds = _group_bounds(arr, sets.rows, sets.cols)
         order, lo, hi, _ = bounds
-        top = np.zeros(len(sets.supports))  # the running best rounded |det|
+        top = np.zeros(len(sets.cols))  # the running best rounded |det|
         top[order[lo[0] : hi[0]]] = -1.0  # row set 0 assigns its whole group
+        chunks = None
         if half_degree == 2:
             from majorana_jm import _laplace
 
             chunks = _laplace.grouped_minors(arr, sets.splits, bounds)
-        else:
+        elif half_degree > 2:
+            from majorana_jm import _blockminors
+
+            chunks = _blockminors.grouped_minors(arr, sets, bounds)
+        if chunks is None:
             chunks = _minor_groups(arr, sets.rows, sets.cols, bounds)
         for i, match, dets in chunks:
             vals = np.abs(np.round(dets, 12))
@@ -713,7 +806,7 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
             top[at] = vals[won]
             best[r, at] = i if isinstance(i, int) else i[won]
             minors[r, at] = dets[won]
-    return MinorTable(half_degree, sets.supports, sets.row_sets, best, minors)
+    return MinorTable(sets, best, minors)
 
 
 def is_generated(subset, partition_blocks) -> bool:
@@ -754,20 +847,20 @@ def degree2k_ensemble(
     two_n = 2 * n_modes
     threshold = min_entry ** (2 * half_degree)
 
-    def scan(i: int) -> MinorTable:
+    def scan(i: int) -> None:
         # candidate i's reductions go to its row of the ensemble's table;
         # beside them only its coverage mask (best minor meets the bound) is kept
         table = scan_minors([o1 @ permutation_matrix(sigmas[i])], n_modes, half_degree)
         best[i], minors[i] = (a[0] for a in table.per_matrix)
         covered[i] = np.abs(minors[i]) >= threshold - 1e-12
-        return table
 
     sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
-    best = np.empty((n_matrices, math.comb(two_n, 2 * half_degree)), dtype=np.int64)
+    sets = _index_sets(n_modes, half_degree)
+    best = np.empty((n_matrices, len(sets.cols)), dtype=sets.best_dtype)
     minors = np.empty(best.shape)
     covered = np.empty(best.shape, dtype=bool)
     for i in range(n_matrices):
-        last = scan(i)
+        scan(i)
     retries = 0
     while not covered.any(axis=0).all():
         if retries >= max_retries:
@@ -776,10 +869,10 @@ def degree2k_ensemble(
             )
         weakest = int(np.argmin(covered.sum(axis=1)))
         sigmas[weakest] = rng.permutation(two_n)
-        last = scan(weakest)
+        scan(weakest)
         retries += 1
     # the kept candidates' reductions are the ensemble's table: no rescan
-    table = MinorTable(half_degree, last.supports, last.row_sets, best, minors)
+    table = MinorTable(sets, best, minors)
     if table.uncovered:
         raise CoverageError(f"uncovered supports remain: {table.uncovered[:5]}")
     if table.min_eta < threshold - 1e-12:

@@ -7,7 +7,9 @@ The dense effect oracle evaluates
 with q in {+-1}^n the computational outcomes and x in {+-1}^(2n) the sign
 string equivalent to the sampled conjugation monomial.  Everything here is
 dense and gated to small mode counts; estimation paths never materialize
-these tables.
+these tables, and only these dense oracles import
+:mod:`majorana_jm.algebra`, so a command that reads sharpness loads none
+of it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from majorana_jm.algebra import (
-    canonical_monomial,
-    commutation_sign,
-    dense_matrix,
-    indices_to_support,
-    monomial_trace,
-    parity,
-)
 from majorana_jm.matching import (
     COVERAGE_TOL,
     CoverageRow,
@@ -63,6 +57,8 @@ def x_string_from_subset(mask: int, n_modes: int) -> np.ndarray:
 
     ``x_j = (-1)^(|X| - [j in X])``; an array of masks gives one row per mask.
     """
+    from majorana_jm.algebra import parity
+
     masks = np.asarray(mask, dtype=np.uint64)[..., None]
     inside = masks >> np.arange(2 * n_modes, dtype=np.uint64) & np.uint64(1)
     return (parity(masks) * parity(inside)).astype(np.int8)
@@ -106,6 +102,8 @@ def parent_effect(o_arr, q, conj_subset, n_modes: int) -> np.ndarray:
     ``q`` holds the n computational outcomes (+-1), ``conj_subset`` is the
     sampled conjugation monomial as a 1-based index iterable or bitmask.
     """
+    from majorana_jm.algebra import canonical_monomial, commutation_sign, dense_matrix, indices_to_support
+
     _check_oracle_gate(n_modes)
     arr = np.asarray(o_arr, dtype=float)
     mask = conj_subset if isinstance(conj_subset, int) else indices_to_support(
@@ -126,6 +124,8 @@ def _sign_grids(o_arr, n_modes):
 
     Grid row ``idx`` holds ``(-1)^bit_j(idx)``, so a term's signs are ``parity(idx & mask)``.
     """
+    from majorana_jm.algebra import indices_to_support, parity
+
     terms = minor_terms(np.asarray(o_arr, dtype=float), n_modes)
     n = n_modes
     q_idx = np.arange(2 ** n)
@@ -146,6 +146,8 @@ def effect_table(o_arr, n_modes: int):
     Outcome order: x-string index major, q index minor; grid rows use bit
     ``j`` of the index for entry ``j`` (+1 for bit 0).
     """
+    from majorana_jm.algebra import canonical_monomial, dense_matrix
+
     if n_modes > 4:
         raise ValueError("full effect table gated to n <= 4 (2^(3n) entries)")
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(o_arr, n_modes)
@@ -167,6 +169,8 @@ def outcome_probabilities(o_arr, state_density: np.ndarray, n_modes: int) -> np.
     A test oracle: no CLI path builds it (the exact mode is
     :func:`majorana_jm.sampling.analytic_estimates`).
     """
+    from majorana_jm.algebra import canonical_monomial, monomial_trace
+
     _check_oracle_gate(n_modes)
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(o_arr, n_modes)
     weights = np.array([t[2] for t in terms])
@@ -188,6 +192,8 @@ def marginal_effect(o_arr, rows, cols, outcome: int, n_modes: int) -> np.ndarray
     ``outcome`` by ``sign(det(O_{R,S})) x_S q_R``; the grouped q/x sign sums
     keep the enumeration tractable.  Equals ``(1 + outcome*|det| gamma_S)/2``.
     """
+    from majorana_jm.algebra import canonical_monomial, dense_matrix
+
     _check_oracle_gate(n_modes)
     arr = np.asarray(o_arr, dtype=float)
     rows = tuple(sorted(rows))
@@ -278,7 +284,7 @@ class SharpnessTable:
 
     def row_for(self, subset) -> CoverageRow:
         table, i = self._locate(subset)
-        return table.rows[i]
+        return table.row_at(i)
 
     def minors(self, subset) -> np.ndarray:
         """Each rotation's assigned signed minor ``m_r(S)`` for a subset, shape ``(N,)``."""
@@ -359,6 +365,8 @@ def parent_validate(o_arr, n_modes: int, marginal_checks: int = 3, rng=None):
     marginals against ``(1 + e |det| gamma_S)/2``.  Returns a dict of worst
     residuals.
     """
+    from majorana_jm.algebra import canonical_monomial, dense_matrix
+
     arr = np.asarray(o_arr, dtype=float)
     _, effects = effect_table(arr, n_modes)
     flat = effects.reshape(-1, 2 ** n_modes, 2 ** n_modes)
@@ -389,6 +397,8 @@ def degree1_parent_effect(etas, outcomes) -> np.ndarray:
     ``G(e) = 2^(-2n) (1 + sum_j e_j eta_j gamma_j)`` requires
     ``sum eta_j^2 <= 1`` for positivity.
     """
+    from majorana_jm.algebra import canonical_monomial, dense_matrix
+
     etas = np.asarray(etas, dtype=float)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     if etas.shape != outcomes.shape or etas.ndim != 1 or len(etas) % 2:
@@ -404,6 +414,8 @@ def degree1_parent_effect(etas, outcomes) -> np.ndarray:
 
 def degree1_marginal(etas, index: int, outcome: int) -> np.ndarray:
     """Marginal of the degree-1 parent: ``(1 + e eta_j gamma_j)/2``."""
+    from majorana_jm.algebra import canonical_monomial, dense_matrix
+
     etas = np.asarray(etas, dtype=float)
     n_modes = len(etas) // 2
     dim = 2 ** n_modes

@@ -585,45 +585,65 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 301
 
 
+# Runs the CLI commands given as a JSON list of [name, argv] pairs in one
+# interpreter and prints the majorana_jm modules loaded after each.
 _IMPORT_PROBE = """
 import json, sys
 import majorana_jm, majorana_jm.cli
 def loaded():
     return sorted(m[len("majorana_jm."):] for m in sys.modules if m.startswith("majorana_jm."))
 seen = {"bare": sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")}
-ens, state, shots = sys.argv[1:]
-with open(state, "w") as fh:
-    json.dump({"n_modes": 4, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 15}, fh)
-majorana_jm.cli.main(["construct", "--n", "4", "--k", "1", "--out", ens])
-seen["construct"] = loaded()
-majorana_jm.cli.main(["validate", "--ensemble", ens])
-seen["validate"] = loaded()
-majorana_jm.cli.main(
-    ["simulate", "--state", state, "--ensemble", ens, "--shots", "5", "--seed", "1", "--out", shots]
-)
-seen["simulate"] = loaded()
-seen["attribute"] = majorana_jm.sampling.simulate_shots.__module__
+for name, argv in json.loads(sys.argv[1]):
+    majorana_jm.cli.main(argv)
+    seen[name] = loaded()
+if "simulate" in seen:
+    seen["attribute"] = majorana_jm.sampling.simulate_shots.__module__
 print(json.dumps(seen))
 """
 
 
-def test_commands_load_only_the_modules_they_run(tmp_path):
-    """The package imports no submodule up front, and each command loads only what it calls."""
+def _modules_loaded(commands, cwd):
     src = str(Path(majorana_jm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    paths = [str(tmp_path / name) for name in ("ens.zip", "state.json", "shots.csv")]
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *paths],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    loaded = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """The package imports no submodule up front, and each command loads only what it calls."""
+    (tmp_path / "state.json").write_text(
+        json.dumps({"n_modes": 4, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 15})
+    )
+    loaded = _modules_loaded(
+        [
+            ["construct", ["construct", "--n", "4", "--k", "1", "--out", "ens.zip"]],
+            ["validate", ["validate", "--ensemble", "ens.zip"]],
+            ["simulate", ["simulate", "--state", "state.json", "--ensemble", "ens.zip",
+                          "--shots", "5", "--seed", "1", "--out", "shots.csv"]],
+        ],
+        tmp_path,
+    )
     assert loaded["bare"] == ["majorana_jm.cli"]
     # no compile in construct or validate (n > 3): no algebra, no povm
     assert loaded["construct"] == ["cli", "gaussian", "io", "matching"]
     assert loaded["validate"] == loaded["construct"]
     assert loaded["simulate"] == ["algebra", "cli", "gaussian", "io", "matching", "sampling"]
     assert loaded["attribute"] == "majorana_jm.sampling"
+    # sharpness reads minors only: povm without its dense oracles' algebra;
+    # a degree-4 scan loads the Laplace kernel and never the 2k >= 6 one
+    loaded = _modules_loaded(
+        [
+            ["sharpness", ["sharpness", "--ensemble", "ens.zip", "--out", "sharpness.csv"]],
+            ["construct_k2", ["construct", "--n", "6", "--k", "2", "--seed", "1", "--out", "ens2.zip"]],
+        ],
+        tmp_path,
+    )
+    assert loaded["sharpness"] == ["cli", "gaussian", "io", "matching", "povm"]
+    assert loaded["construct_k2"] == ["_laplace", "cli", "gaussian", "io", "matching", "povm"]
 
 
 class TestMixedDegreeHamiltonian:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorana_jm import _laplace
+from majorana_jm import _blockminors, _laplace, matching
 from majorana_jm.gaussian import lower_flat, random_orthogonal, submatrix_det
 from majorana_jm.matching import (
     COVERAGE_TOL,
@@ -125,7 +125,7 @@ class TestDegree2Ensemble:
     def test_n3_single_matrix_misses_same_pair_observables(self):
         ens = degree2_ensemble(3)
         table = scan_minors([ens.matrices[0].entries], 3, 1)
-        uncovered = [s for s, e in zip(table.supports, table.best[0]) if e < 1e-12]
+        uncovered = [s for s, e in zip(_supports(table), table.best[0]) if e < 1e-12]
         assert uncovered == [(1, 2), (3, 4), (5, 6)]
 
     def test_n1_single_matrix(self):
@@ -233,10 +233,15 @@ def _rotation(kind, size, rng):
     return signed[rng.permutation(size)][:, rng.permutation(size)]
 
 
+def _supports(table):
+    """The table's supports as 1-based tuples, in combinations order."""
+    return [tuple(s) for s in (table.cols + 1).tolist()]
+
+
 def _full_minors(arrays, table):
     """Every minor ``det(O_{R,S})`` from ``submatrix_det``, shape ``(N, nR, nS)``."""
     return np.array([
-        [[submatrix_det(arr, rows, cols) for cols in table.supports] for rows in table.row_sets]
+        [[submatrix_det(arr, rows, cols) for cols in _supports(table)] for rows in table.row_sets]
         for arr in arrays
     ])
 
@@ -251,9 +256,9 @@ def _assert_matches_oracle(table, dets):
     assert np.array_equal(got_r, best_r)
     assert np.array_equal(got_rows, best_rows)
     got_best, got_vals = table.per_matrix
-    assert got_best.shape == got_vals.shape == (len(dets), len(table.supports))
+    assert got_best.shape == got_vals.shape == (len(dets), len(table.cols))
     assert np.array_equal(got_best, pm_best)
-    columns = np.arange(len(table.supports))
+    columns = np.arange(len(table.cols))
     for r in range(len(dets)):
         assert np.max(np.abs(got_vals[r] - dets[r, pm_best[r], columns])) < 1e-12
     return eta, best_r, best_rows
@@ -277,12 +282,13 @@ class TestMinorTable:
         arrays = [base[b] for b in layout]
         table = scan_minors(arrays, n, half)
         assert len(table.row_sets) == math.comb(n, half)
-        assert len(table.supports) == math.comb(2 * n, 2 * half)
+        assert len(table.cols) == math.comb(2 * n, 2 * half)
+        assert _supports(table) == list(itertools.combinations(range(1, 2 * n + 1), 2 * half))
         _assert_matches_oracle(table, _full_minors(arrays, table))
 
     def test_identity_ensemble_covers_exactly_diag(self):
         table = scan_minors([np.eye(6)], 3, 1)
-        covered = {s for s, e in zip(table.supports, table.best[0]) if e > 1e-12}
+        covered = {s for s, e in zip(_supports(table), table.best[0]) if e > 1e-12}
         assert covered == set(diag_index_sets(3, 1))
         # min_eta and uncovered are read off best; rows is the reference
         assert table.uncovered == tuple(row.subset for row in table.rows if row.r is None)
@@ -299,7 +305,7 @@ class TestMinorTable:
         ens = degree2k_ensemble(6, 2, 9, seed=7)
         table = ens.coverage
         rescanned = scan_minors(ens.arrays(), 6, 2)
-        assert table.supports == rescanned.supports
+        assert np.array_equal(table.cols, rescanned.cols)
         assert table.row_sets == rescanned.row_sets
         for got, ref in zip(table.per_matrix, rescanned.per_matrix):
             assert np.array_equal(got, ref)
@@ -341,25 +347,57 @@ KINDS = ["random", "permutation", "lower_flat", "blocks", "tiny"]
 
 
 def _structural_zeros(arr, rows, cols):
-    """``(nR, nS)``: True where ``arr[R, S] != 0`` has no perfect matching, so every Leibniz term is 0."""
-    perms = np.array(list(itertools.permutations(range(rows.shape[1]))))
-    pattern = (arr != 0)[rows[:, None, :, None], cols[None, :, None, :]]
-    return ~pattern[..., np.arange(rows.shape[1]), perms].all(axis=-1).any(axis=-1)
+    """``(nS,)``: True where every row set's ``arr[R, S] != 0`` has no perfect matching.
+
+    Then every Leibniz term of every minor of that support is 0.
+    """
+    size = cols.shape[1]
+    perms = np.array(list(itertools.permutations(range(size))))
+    zero = np.ones(len(cols), dtype=bool)
+    for r in rows:
+        pattern = (arr != 0)[r[None, :, None], cols[:, None, :]]
+        zero &= ~pattern[:, np.arange(size), perms].all(axis=-1).any(axis=-1)
+    return zero
 
 
-def _assert_degree4_rule(arrays, n, got):
-    """The Laplace scan against the LAPACK block argmax: the same best row sets,
-    exactly +0.0 where every row set's minor is structurally zero, and every
-    minor within 1e-15."""
-    best, minors = got
-    ref_best, ref_minors = _argmax_scan(arrays, n, 2)
+def _assert_best(best, ref_best, n, half):
+    # row set indices compare by value, in the smallest unsigned type that holds them
+    assert best.dtype == np.min_scalar_type(math.comb(n, half) - 1)
     assert np.array_equal(best, ref_best)
-    rows = np.array(diag_index_sets(n, 2)) - 1
-    cols = np.array(list(itertools.combinations(range(2 * n), 4)))
+
+
+def _assert_kernel_rule(arrays, n, half, got):
+    """A scan off LAPACK (2k >= 4) against the LAPACK block argmax: the same best
+    row sets, exactly +0.0 where every row set's minor is structurally zero,
+    and every minor within 1e-15."""
+    best, minors = got
+    ref_best, ref_minors = _argmax_scan(arrays, n, half)
+    _assert_best(best, ref_best, n, half)
+    rows = np.array(diag_index_sets(n, half)) - 1
+    cols = np.array(list(itertools.combinations(range(2 * n), 2 * half)))
     for arr, vals in zip(arrays, minors):
-        zero = _structural_zeros(arr, rows, cols).all(axis=0)
-        assert not vals[zero].view(np.int64).any()
+        assert not vals[_structural_zeros(arr, rows, cols)].view(np.int64).any()
     assert np.max(np.abs(minors - ref_minors)) <= 1e-15
+
+
+def _assert_same_reductions(got, ref):
+    (best, minors), (ref_best, ref_minors) = got, ref
+    assert best.dtype == ref_best.dtype and np.array_equal(best, ref_best)
+    assert np.array_equal(minors.view(np.int64), ref_minors.view(np.int64))
+
+
+def _several_blocks(n, rng):
+    """A signed, permuted direct sum of lower-flat blocks of orders 3, 4, 3, 4, ... (the last cut short)."""
+    base = np.zeros((2 * n, 2 * n))
+    at = 0
+    for width in itertools.cycle((3, 4)):
+        if at == 2 * n:
+            break
+        width = min(width, 2 * n - at)
+        base[at : at + width, at : at + width] = lower_flat(width).entries
+        at += width
+    signed = base * rng.choice((-1.0, 1.0), 2 * n)
+    return signed[rng.permutation(2 * n)][:, rng.permutation(2 * n)]
 
 
 class TestMinorDets:
@@ -396,10 +434,11 @@ class TestMinorDets:
         arrays = [base[b] for b in layout]
         got = scan_minors(arrays, n, half).per_matrix
         if half == 2:
-            _assert_degree4_rule(arrays, n, got)
+            _assert_kernel_rule(arrays, n, half, got)
             return
-        for g, ref in zip(got, _argmax_scan(arrays, n, half)):
-            assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+        (best, minors), (ref_best, ref_minors) = got, _argmax_scan(arrays, n, half)
+        _assert_best(best, ref_best, n, half)
+        assert np.array_equal(minors.view(np.int64), ref_minors.view(np.int64))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,15 +451,55 @@ class TestMinorDets:
         rng = np.random.default_rng(seed)
         base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
         arrays = [base[b] for b in layout]
-        _assert_degree4_rule(arrays, n, scan_minors(arrays, n, 2).per_matrix)
+        _assert_kernel_rule(arrays, n, 2, scan_minors(arrays, n, 2).per_matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        seed=st.integers(0, 2 ** 32 - 1),
+        layout=st.sampled_from([(0,), (0, 1), (0, 0), (1, 0, 1)]),
+        kind=st.sampled_from(KINDS + ["several_blocks"]),
+    )
+    def test_degree6_kernel_matches_dense_oracle(self, n, seed, layout, kind):
+        # signed permutations, direct sums of blocks and the tiny rotation
+        # have several components and go through the block kernel; a dense
+        # rotation is one component and keeps LAPACK's very bits
+        rng = np.random.default_rng(seed)
+        make = _several_blocks if kind == "several_blocks" else lambda n, rng: _rotation(kind, 2 * n, rng)
+        base = [make(n, rng) for _ in range(2)]
+        arrays = [base[b] for b in layout]
+        got = scan_minors(arrays, n, 3).per_matrix
+        _assert_kernel_rule(arrays, n, 3, got)
+        if kind == "random":
+            assert np.array_equal(got[1].view(np.int64), _argmax_scan(arrays, n, 3)[1].view(np.int64))
 
     def test_laplace_chunks_match_one_chunk(self, monkeypatch):
         # a dense rotation's layers run over several chunks of a few pairs
         arr = random_orthogonal(12, np.random.default_rng(3)).entries
         whole = scan_minors([arr], 6, 2).per_matrix
         monkeypatch.setattr(_laplace, "_PAIR_CHUNK", 7)
-        for got, ref in zip(scan_minors([arr], 6, 2).per_matrix, whole):
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        _assert_same_reductions(scan_minors([arr], 6, 2).per_matrix, whole)
+
+    def test_block_kernel_chunks_match_one_chunk(self, monkeypatch):
+        arr = _several_blocks(6, np.random.default_rng(3))
+        whole = scan_minors([arr], 6, 3).per_matrix
+        monkeypatch.setattr(_blockminors, "_PAIR_CHUNK", 7)
+        _assert_same_reductions(scan_minors([arr], 6, 3).per_matrix, whole)
+
+    def test_block_kernel_runs_where_the_tables_pay(self, monkeypatch):
+        # a matrix of several small components is read off its tables;
+        # one component, or tables past the limit, go to LAPACK
+        calls = []
+        tables = _blockminors._minor_table
+        monkeypatch.setattr(_blockminors, "_minor_table", lambda *a: calls.append(1) or tables(*a))
+        rng = np.random.default_rng(4)
+        scan_minors([_several_blocks(6, rng)], 6, 3)
+        assert len(calls) == 4  # blocks of orders 3, 4, 3 and 2
+        calls.clear()
+        scan_minors([_rotation("random", 12, rng)], 6, 3)
+        monkeypatch.setattr(_blockminors, "_TABLE_LIMIT", 1 << 8)  # the blocks' tables hold 400
+        scan_minors([_several_blocks(6, rng)], 6, 3)
+        assert calls == []
 
     def test_many_components_fall_back_to_numbered_keys(self):
         # a signed permutation of 28 generators has 28 components, too many
@@ -429,8 +508,8 @@ class TestMinorDets:
         arr = _rotation("permutation", 28, np.random.default_rng(5))
         table = scan_minors([arr], 14, 2)
         best, minors = table.per_matrix
-        expected_best = np.zeros(len(table.supports), dtype=np.int64)
-        expected = np.zeros(len(table.supports))
+        expected_best = np.zeros(len(table.cols), dtype=np.int64)
+        expected = np.zeros(len(table.cols))
         for i, rows in enumerate(table.row_sets):
             r = np.array(rows) - 1
             image = np.sort(np.flatnonzero(arr[r].any(axis=0)))
@@ -492,6 +571,53 @@ def _scan_peak(arrays, n, half):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestLeanTable:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), half=st.integers(1, 3), data=st.data())
+    def test_index_is_the_combinations_rank(self, n, half, data):
+        half = min(half, n)
+        table = scan_minors([np.eye(2 * n)], n, half)
+        supports = list(itertools.combinations(range(1, 2 * n + 1), 2 * half))
+        assert [table.index[s] for s in supports] == list(range(len(supports)))
+        j = data.draw(st.integers(0, len(supports) - 1))
+        assert table.index[list(supports[j])] == j
+        assert table.row_for(supports[j]) == table.rows[j]
+        # anything but an ascending 2k-tuple in 1..2n is missing, as from a dict
+        s = supports[j]
+        bad = data.draw(
+            st.lists(st.integers(-1, 2 * n + 2), max_size=2 * half + 1).filter(
+                lambda c: tuple(c) not in supports
+            )
+        )
+        wrong = (s[:-1], s + (2 * n + 1,), (0,) + s[1:], s[:-1] + (2 * n + 1,), s[:1] * len(s))
+        for key in (*wrong, tuple(bad)):
+            with pytest.raises(KeyError):
+                table.index[key]
+
+    def test_sharpness_lookup_misses_raise_key_error(self):
+        from majorana_jm.povm import sharpness_table
+
+        table = sharpness_table(degree2_ensemble(3))
+        for subset in ((0, 2), (1, 7), (2, 2)):
+            with pytest.raises(KeyError):
+                table.minors(subset)
+        assert table.row_for((3, 1)) == table.rows[1]
+
+    def test_index_sets_hold_supports_as_one_small_array(self):
+        # 593,775 supports of six indices: 3.6 MB as uint8, 60 MB as tuples
+        matching._index_sets.cache_clear()
+        tracemalloc.start()
+        try:
+            sets = matching._index_sets(15, 3)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            matching._index_sets.cache_clear()
+        assert sets.cols.shape == (593_775, 6) and sets.cols.dtype == np.uint8
+        assert sets.best_dtype == np.uint16
+        assert retained < 8e6 and peak < 16e6, (retained, peak)
 
 
 class TestPartitionCombinatorics:
