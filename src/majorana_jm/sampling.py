@@ -11,8 +11,10 @@ through the closed form of their Jordan-Wigner action
 (``algebra.monomial_bits``, evaluated once per rotation for all its
 groups), a signed permutation of the basis, so a block of about
 ``_BLOCK_BYTES`` (64 KB) costs one gather, one parity call and one matrix
-product with the rotation's compiled unitary; only one unitary is held at a
-time.  A density matrix is
+product with a compiled unitary; only one unitary is held at a time.  A
+rotation whose columns are exactly those of the last compiled one, permuted,
+reuses its unitary: the permutation moves onto the masks and, as one
+reflection per transposition, onto the state.  A density matrix is
 diagonalized once and its eigenvectors are evolved like pure states.
 Basis-outcome signs are read off the diagonal of the pair monomials'
 action, never assumed (the pair observable maps to -Z under the chosen
@@ -237,12 +239,64 @@ def _born_cdfs(unitary, weights, rows, flip, phase, zmask) -> np.ndarray:
     """
     block = _conjugated(rows, flip, phase, zmask)
     amplitudes = block.reshape(-1, block.shape[-1]) @ unitary.T
-    probs = (weights[:, None, None] * (np.abs(amplitudes) ** 2).reshape(block.shape)).sum(axis=0)
-    probs = np.clip(probs, 0.0, None)
+    probs = np.abs(amplitudes)
+    np.square(probs, out=probs)  # nonnegative, so no clip is needed
+    if len(rows) > 1:
+        probs = (weights[:, None, None] * probs.reshape(block.shape)).sum(axis=0)
+    elif weights[0] != 1.0:  # one row: the weighted sum is one exact product
+        probs *= weights[0]
     probs /= probs.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     return cdf
+
+
+def _column_permutation(base: np.ndarray, o: np.ndarray) -> np.ndarray | None:
+    """``p`` with ``o[:, c] == base[:, p[c]]`` for every column ``c``, else None."""
+    match = (o.T[:, None, :] == base.T[None, :, :]).all(axis=2)
+    p = match.argmax(axis=1)
+    # orthogonal columns are distinct, so a full match is a permutation
+    return p if match[np.arange(len(p)), p].all() else None
+
+
+def _permuted(rows: np.ndarray, masks: np.ndarray, perm: np.ndarray):
+    """Eigen-rows and group masks of the rotation ``O_b Q`` under the base's unitary.
+
+    ``perm`` is :func:`_column_permutation` of ``O_b Q`` against ``O_b``, so
+    ``U(O_b Q) ~ U(O_b) U(Q)`` and ``U(Q) gamma_m U(Q)^dag = gamma_perm[m]``:
+    the group of mask ``X`` becomes the base's group of ``perm(X)`` on the
+    rows ``U(Q) v_j``, with signs and phases that ``|amplitude|^2`` drops.
+    Each cycle ``c0 -> c1 -> ...`` of ``perm`` is the transpositions
+    ``(c0 c1), (c0 c2), ...`` in that order, and the reflection
+    ``(gamma_a - gamma_b)/sqrt(2)`` conjugates ``gamma_a <-> gamma_b`` and
+    negates every generator, so the rows take one reflection per
+    transposition, in the same order, and equal ``U(Q) v_j`` up to the
+    parity operator: diagonal, and it commutes with Gaussian unitaries and
+    monomials up to sign, so the distribution does not change.  The rows go
+    through in chunks of about ``_BLOCK_BYTES``, so beside the result only
+    one chunk's scratch is held.
+    """
+    n = rows.shape[-1].bit_length() - 1
+    places = np.arange(len(perm), dtype=np.uint64)
+    # bit m of each mask moves to bit perm[m]; the sum of distinct powers of two is their or
+    moved = (masks[:, None] >> places & np.uint64(1)) @ (np.uint64(1) << perm.astype(np.uint64))
+    swaps = []
+    done = perm == np.arange(len(perm))
+    for c0 in range(len(perm)):
+        done[c0], c = True, perm[c0]
+        while not done[c]:
+            swaps.append([1 << c0, 1 << c])
+            done[c], c = True, perm[c]
+    flip, phase, zmask = _mask_bits(swaps, n)
+    out = np.empty_like(rows)
+    step = _block_size(rows[:1])  # rows per chunk
+    for s in range(0, len(rows), step):
+        chunk = rows[s : s + step]
+        for k in range(len(swaps)):
+            pair = _conjugated(chunk, flip[k], phase[k], zmask[k])
+            chunk = (pair[:, 0] - pair[:, 1]) * math.sqrt(0.5)
+        out[s : s + step] = chunk
+    return out, moved
 
 
 def _outcomes(cdfs: np.ndarray, group: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -267,9 +321,11 @@ def simulate_shots(
 
     Rotation indices and conjugation monomials are drawn uniformly up
     front; shots are then grouped by (rotation, monomial) so each group
-    samples its computational outcomes from one Born distribution.  A
-    rotation's unitary is compiled when its first group comes up; rotations
-    that drew no shot are never compiled.
+    samples its computational outcomes from one Born distribution.
+    Rotations that drew shots are walked in order: one that is an exact
+    column permutation of the current base rotation runs under the base's
+    unitary (:func:`_permuted`), and any other becomes the base and is
+    compiled.  Rotations that drew no shot are never compiled.
     """
     n = state.n_modes
     if n != ensemble.n_modes:
@@ -281,30 +337,40 @@ def simulate_shots(
     masks = rng.integers(0, 2 ** (2 * n), size=n_shots, dtype=np.uint64)
     keys = rs.astype(np.uint64) << np.uint64(2 * n + 1) | masks
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    keys = keys[order]
     first = np.ones(n_shots, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(first)
-    bounds = np.r_[starts, n_shots]
-    group_r, group_masks = rs[order[starts]], masks[order[starts]]
+    first[1:] = keys[1:] != keys[:-1]
+    del keys  # the sort keys are not held through the compile
+    bounds = np.r_[np.flatnonzero(first), n_shots]
+    leads = order[bounds[:-1]]
+    group_r, group_masks = rs[leads], masks[leads]
     group = np.cumsum(first) - 1  # each sorted shot's group
+    del first, leads
     uniforms = rng.random(n_shots)  # the draws of every group's choice call, in group order
     outcomes = np.empty(n_shots, dtype=np.int64)
-    weights, rows = _eigenstates(state)
-    step = _block_size(rows)
+    weights, base_rows = _eigenstates(state)
+    step = _block_size(base_rows)
     edges = np.searchsorted(group_r, np.arange(n_mat + 1))
+    base = unitary = None
     for r in range(n_mat):
         lo, hi = edges[r], edges[r + 1]
         if lo == hi:
             continue
-        unitary = compile_gaussian_unitary(ensemble.matrices[r].entries, n)
-        bits = _mask_bits(group_masks[lo:hi], n)
+        o = ensemble.matrices[r].entries
+        perm = None if base is None else _column_permutation(base, o)
+        rows = None  # at most one moved copy of the eigen-rows at a time
+        if perm is None:
+            unitary = None  # the next compile must not hold two unitaries at once
+            base, unitary = o, compile_gaussian_unitary(o, n)
+            rows, moved = base_rows, group_masks[lo:hi]
+        else:
+            rows, moved = _permuted(base_rows, group_masks[lo:hi], perm)
+        bits = _mask_bits(moved, n)
         for b in range(lo, hi, step):
             e = min(b + step, hi)
             cdfs = _born_cdfs(unitary, weights, rows, *(a[b - lo : e - lo] for a in bits))
             shots = slice(bounds[b], bounds[e])
             outcomes[shots] = _outcomes(cdfs, group[shots] - b, uniforms[shots])
-        del unitary  # the next compile must not hold two unitaries at once
     q_out = np.empty((n_shots, n), dtype=np.int8)
     q_out[order] = _pair_sign_table(n)[:, outcomes].T
     return ShotBatch(n, rs + 1, masks, q_out, seed=seed)

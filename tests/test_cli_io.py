@@ -684,7 +684,7 @@ def _cli_peak_rss_mb(args, cwd):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_simulate_peak_memory(tmp_path):
-    """n=8 simulate holds N compiled unitaries, not thousands of dense monomials."""
+    """n=8 simulate holds one compiled unitary at a time, not thousands of dense monomials."""
     state = FermionicState.random_pure(8, np.random.default_rng(11))
     (tmp_path / "state.json").write_text(io.state_to_json(state))
     _cli_peak_rss_mb(

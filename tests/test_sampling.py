@@ -18,7 +18,13 @@ from majorana_jm.algebra import (
     to_pauli,
 )
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
-from majorana_jm.matching import COVERAGE_TOL, custom_ensemble, degree2_ensemble
+from majorana_jm.matching import (
+    COVERAGE_TOL,
+    custom_ensemble,
+    degree2_ensemble,
+    degree2k_ensemble,
+    permutation_matrix,
+)
 from majorana_jm.povm import (
     outcome_probabilities,
     sharpness_table,
@@ -311,6 +317,107 @@ def test_compiles_only_rotations_that_drew_shots(monkeypatch):
     batch = simulate_shots(FermionicState.random_pure(2, rng), ens, 1, rng)
     assert len(batch) == 1
     assert calls == [2]
+
+
+def permuted_ensemble(kind, n, odd, det_negative, seed):
+    """Rotations that are exact column permutations of one base rotation.
+
+    ``degree2`` and ``degree2k`` are the constructions; ``custom`` is a random
+    base (of determinant -1 when ``det_negative``) times permutations of the
+    parity ``odd``, after the base itself.
+    """
+    if kind == "degree2":
+        return degree2_ensemble(n)
+    if kind == "degree2k":
+        return degree2k_ensemble(n, 2 if n >= 6 else 1, seed=seed)
+    rng = np.random.default_rng(seed)
+    base = random_orthogonal(2 * n, rng, special=not det_negative).entries
+    mats = [base]
+    for _ in range(2):
+        sigma = rng.permutation(2 * n)
+        if (np.linalg.det(permutation_matrix(sigma)) < 0) != odd:
+            sigma[[0, 1]] = sigma[[1, 0]]
+        mats.append(base @ permutation_matrix(sigma))
+    return custom_ensemble(n, 1, mats)
+
+
+class TestPermutedRotationsAgainstPerRotationCompile:
+    """Born cdfs of rotations ``O_b Q`` under the base unitary, against compiling ``O_b Q``."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(kind="custom", n=6, odd=True, det_negative=True, pure=False, block_bytes=1, seed=1)
+    @example(kind="degree2k", n=6, odd=False, det_negative=False, pure=True, block_bytes=512, seed=2)
+    @example(kind="degree2", n=1, odd=False, det_negative=False, pure=False, block_bytes=1, seed=3)
+    @given(
+        kind=st.sampled_from(["degree2", "degree2k", "custom"]),
+        n=st.integers(1, 6),
+        odd=st.booleans(),
+        det_negative=st.booleans(),
+        pure=st.booleans(),
+        block_bytes=st.sampled_from([1, 512, sampling._BLOCK_BYTES]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_cdfs_match_compiled_rotation(self, kind, n, odd, det_negative, pure, block_bytes, seed):
+        ens = permuted_ensemble(kind, n, odd, det_negative, seed)
+        rng = np.random.default_rng(seed)
+        if pure:
+            state = FermionicState.random_pure(n, rng)
+        else:
+            # random rank, so that the eigenvector sum is sometimes rank-deficient
+            shape = (2 ** n, int(rng.integers(1, 2 ** n + 1)))
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rho = a @ a.conj().T
+            state = FermionicState(n, density_matrix=rho / np.trace(rho))
+        seen = []
+
+        def recorded(*args):
+            seen.append(_born_cdfs(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_BLOCK_BYTES", block_bytes)
+            patch.setattr(sampling, "_born_cdfs", recorded)
+            batch = simulate_shots(state, ens, 300 * ens.n_matrices, rng)
+        got = np.concatenate(seen)
+        # blocks come in the sorted order of the (rotation, mask) groups
+        groups = np.unique((batch.r - 1).astype(np.uint64) << np.uint64(2 * n + 1) | batch.conj_mask)
+        group_r = (groups >> np.uint64(2 * n + 1)).astype(np.int64)
+        group_masks = groups & np.uint64(4 ** n - 1)
+        assert got.shape == (len(groups), 2 ** n)
+        weights, rows = _eigenstates(state)
+        for r, mat in enumerate(ens.matrices):
+            mine = group_r == r
+            if mine.any():
+                u = compile_gaussian_unitary(mat.entries, n)
+                want = _born_cdfs(u, weights, rows, *_mask_bits(group_masks[mine], n))
+                assert np.max(np.abs(got[mine] - want)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "layout, compiles",
+    [("degree2k", 1), ("A, AP, B, BP", 2), ("A, B, AP", 3)],
+)
+def test_one_compile_per_base_rotation(monkeypatch, layout, compiles):
+    calls = []
+    compile_unitary = sampling.compile_gaussian_unitary
+
+    def counted(o, n_modes):
+        calls.append(n_modes)
+        return compile_unitary(o, n_modes)
+
+    monkeypatch.setattr(sampling, "compile_gaussian_unitary", counted)
+    rng = np.random.default_rng(32)
+    if layout == "degree2k":
+        ens = degree2k_ensemble(6, 2, seed=5)
+        assert ens.n_matrices == 9
+    else:
+        a, b = (random_orthogonal(12, rng).entries for _ in range(2))
+        p = permutation_matrix(rng.permutation(12))
+        named = {"A": a, "AP": a @ p, "B": b, "BP": b @ p}
+        ens = custom_ensemble(6, 1, [named[m] for m in layout.split(", ")])
+    batch = simulate_shots(FermionicState.random_pure(6, rng), ens, 100 * ens.n_matrices, rng)
+    assert set(batch.r.tolist()) == set(range(1, ens.n_matrices + 1))
+    assert len(calls) == compiles
 
 
 def loop_target_signs(batch, table, subset):
