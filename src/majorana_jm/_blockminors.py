@@ -1,4 +1,4 @@
-"""Minors of degree 2k >= 6 as products of the minors of a rotation's components.
+"""Minors of degree 2k >= 4 as products of the minors of a rotation's components.
 
 Where a row set ``R`` and a support ``S`` meet every connected component
 of the rotation's nonzero pattern equally often (``matching._group_bounds``
@@ -13,7 +13,7 @@ tabulated once per rotation, indexed by local row and column bitmask, and
 each grouped minor is the product of one gather of its factors, the sign
 among them.
 :func:`majorana_jm.matching.scan_minors` imports this module for its
-``2k >= 6`` scans only, so no other command compiles it.
+``2k >= 4`` scans only, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import itertools
 
 import numpy as np
 
-from majorana_jm.matching import _components, _pair_chunks
+from majorana_jm.matching import _components, _odd_inversions, _pair_chunks
 
 # (R, S) pairs evaluated at once
 _PAIR_CHUNK = 1 << 14
-# table entries of one rotation (8 MB); a rotation whose tables would pass it goes through LAPACK
-_TABLE_LIMIT = 1 << 20
+# table entries of one rotation (16 MB); a rotation whose tables would pass it goes through LAPACK
+_TABLE_LIMIT = 1 << 21
 
 
 def _minor_table(block: np.ndarray, size: int) -> np.ndarray:
@@ -57,14 +57,6 @@ def _minor_table(block: np.ndarray, size: int) -> np.ndarray:
                 acc += term
         table[row_masks[:, None], col_masks] = acc
     return table
-
-
-def _odd_inversions(labels: np.ndarray) -> np.ndarray:
-    """Per row of ``labels``: whether its pairs ``t < u`` with ``labels[t] > labels[u]`` are odd in number."""
-    odd = np.zeros(len(labels), dtype=bool)
-    for t, u in itertools.combinations(range(labels.shape[1]), 2):
-        odd ^= labels[:, t] > labels[:, u]
-    return odd
 
 
 def grouped_minors(arr: np.ndarray, sets, bounds):

@@ -22,6 +22,9 @@ __all__ = [
     "comparison_rows",
 ]
 
+# degree-k images jw_max_weight enumerates at most
+_JW_ENUMERATION_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class MappingModel:
@@ -48,14 +51,14 @@ def qubit_parent_sharpness(weight: int) -> float:
     return 3.0 ** (-weight / 2.0)
 
 
-def jw_max_weight(n_modes: int, degree: int, cap: int = 2_000_000) -> int:
+def jw_max_weight(n_modes: int, degree: int) -> int:
     """Largest Pauli weight among degree-k observables under Jordan-Wigner."""
     from majorana_jm.algebra import canonical_monomial, subsets_of_size, to_pauli
 
     if degree == 0:
         return 0
     count = math.comb(2 * n_modes, degree)
-    if count > cap:
+    if count > _JW_ENUMERATION_CAP:
         raise ValueError("enumeration too large")
     best = 0
     for subset in subsets_of_size(2 * n_modes, degree):

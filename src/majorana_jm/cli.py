@@ -124,9 +124,7 @@ def _cmd_construct(args):
     else:
         _require_seed(args)
         ensemble = degree2k_ensemble(args.n, args.k, args.N, seed=args.seed)
-    coverage = io.write_ensemble_archive(args.out, ensemble)
-    with open(args.out + ".coverage.csv", "w") as fh:
-        fh.write(coverage)
+    io.write_ensemble_archive(args.out, ensemble)
     sys.stdout.write(
         json.dumps(
             {
@@ -213,9 +211,7 @@ def _cmd_simulate(args):
     ensemble = _load_ensemble(args)
     if state.n_modes != ensemble.n_modes:
         raise ValueError("state and ensemble dimensions differ")
-    batch = simulate_shots(
-        state, ensemble, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
-    )
+    batch = simulate_shots(state, ensemble, args.shots, io.rng_for(args.seed, "simulate"))
     _emit(args, io.shot_log_csv(batch))
     return EXIT_OK
 
@@ -287,9 +283,7 @@ def _cmd_estimate(args):
         meta["mode"] = "exact"
     else:
         _require_seed(args)
-        batch = simulate_shots(
-            state, ensemble, args.shots, io.rng_for(args.seed, "simulate"), seed=args.seed
-        )
+        batch = simulate_shots(state, ensemble, args.shots, io.rng_for(args.seed, "simulate"))
         coin_rng = io.rng_for(args.seed, "coins")
         records = estimate_expectations(batch, table, targets, rng=coin_rng)
         if ham:

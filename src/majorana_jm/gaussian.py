@@ -41,14 +41,13 @@ class OrthogonalMatrix:
     """Real square matrix certified orthogonal at construction."""
 
     entries: np.ndarray
-    tol: float = ORTHOGONALITY_TOL
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
         gram = arr @ arr.T - np.eye(arr.shape[0])
-        if np.max(np.abs(gram)) > self.tol:
+        if np.max(np.abs(gram)) > ORTHOGONALITY_TOL:
             raise ValueError(
                 f"orthogonality gate failed: residual {np.max(np.abs(gram)):.3e}"
             )
@@ -87,12 +86,12 @@ class LowerFlatMatrix:
         return self.entries.shape[0]
 
 
-def sylvester_hadamard(m: int, max_m: int = _HADAMARD_MAX_M) -> np.ndarray:
+def sylvester_hadamard(m: int) -> np.ndarray:
     """Sylvester Hadamard matrix of order ``2**m`` with +-1 entries."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > max_m:
-        raise ValueError(f"Hadamard order 2**{m} exceeds limit 2**{max_m}")
+    if m > _HADAMARD_MAX_M:
+        raise ValueError(f"Hadamard order 2**{m} exceeds limit 2**{_HADAMARD_MAX_M}")
     h = np.array([[1.0]])
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
     for _ in range(m):

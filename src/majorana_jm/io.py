@@ -105,11 +105,15 @@ def _coverage_blocks(table: MinorTable):
         )
 
 
-def coverage_csv(table: MinorTable) -> str:
-    parts = ["S,r,R,eta\n"]
+def _coverage_csv_parts(table: MinorTable):
+    """Yield the coverage CSV: its header, then one text per block of :func:`_coverage_blocks`."""
+    yield "S,r,R,eta\n"
     for fields in _coverage_blocks(table):
-        parts.append("".join([f"{s},{r or ''},{rows},{eta:.17g}\n" for s, r, rows, eta in fields]))
-    return "".join(parts)
+        yield "".join([f"{s},{r or ''},{rows},{eta:.17g}\n" for s, r, rows, eta in fields])
+
+
+def coverage_csv(table: MinorTable) -> str:
+    return "".join(_coverage_csv_parts(table))
 
 
 def sharpness_csv(table) -> str:
@@ -129,10 +133,12 @@ def sharpness_csv(table) -> str:
     return "".join(parts)
 
 
-def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> str:
+def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
     """Zip archive of matrices, construction metadata and the coverage table.
 
-    Returns the coverage CSV text it stored.
+    The coverage CSV is also written beside the archive, to
+    ``<path>.coverage.csv``.  Both get it block by block, so its whole text
+    is never held.
     """
     meta = {
         "format": _ARCHIVE_FORMAT,
@@ -160,9 +166,11 @@ def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> str:
         zf.writestr(_zip_entry("metadata.json"), json.dumps(meta, indent=2, sort_keys=True))
         for r, mat in enumerate(ensemble.matrices, start=1):
             zf.writestr(_zip_entry(f"matrix_{r}.txt"), matrix_to_text(mat.entries))
-        coverage = coverage_csv(ensemble.coverage)
-        zf.writestr(_zip_entry("coverage.csv"), coverage)
-    return coverage
+        with zf.open(_zip_entry("coverage.csv"), "w") as entry, open(f"{path}.coverage.csv", "wb") as side:
+            for part in _coverage_csv_parts(ensemble.coverage):
+                data = part.encode()
+                entry.write(data)
+                side.write(data)
 
 
 def _zip_entry(name: str) -> zipfile.ZipInfo:

@@ -6,6 +6,10 @@ and ``O2 = O1 P_sigma`` where ``D`` is a direct sum of lower-flat blocks,
 pairs ``{2j-1, 2j}``, and ``sigma`` swaps the endpoints of every matching
 edge.  The degree-2k ensemble permutes the columns of ``O1`` by uniformly
 random permutations and retries until every size-2k support is covered.
+Every rotation either builder makes is therefore ``O1`` with permuted
+columns, and its minors are those of ``O1``, relabelled and signed: the
+minor scan runs its kernel once per base rotation and reads every
+permuted copy off the base's table.
 
 Mode counts that miss the exact Turan size ``2n = l(l+1)`` are handled by
 enlarging some blocks by two vertices; the two extra vertices of an
@@ -55,6 +59,8 @@ __all__ = [
 ]
 
 COVERAGE_TOL = 1e-12
+# candidate resamples before the degree-2k construction gives up
+_MAX_RETRIES = 200
 
 
 class CoverageError(RuntimeError):
@@ -98,23 +104,6 @@ class PerfectMatching:
         if len(seen) != self.n_vertices or len(self.edges) != self.n_vertices // 2:
             raise ValueError("not a perfect matching")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def is_sparsely_arranged(self, partition: TuranPartition) -> bool:
-        """Exactly one matching edge between every pair of distinct subsets."""
-        color = partition.color_of()
-        counts: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            cu, cv = color[u], color[v]
-            if cu == cv:
-                return False
-            key = (min(cu, cv), max(cu, cv))
-            counts[key] = counts.get(key, 0) + 1
-        side = partition.n_subsets
-        return all(
-            counts.get((a, b), 0) == 1
-            for a in range(side)
-            for b in range(a + 1, side)
-        )
 
     def relaxed_sparseness(self, partition: TuranPartition) -> tuple[bool, tuple[tuple[int, int], ...]]:
         """Sparseness allowing one within-subset edge per enlarged subset.
@@ -492,6 +481,14 @@ class _SupportRank:
             raise KeyError(support)
         return math.comb(n, m) - 1 - sum(math.comb(n - v, m - t) for t, v in enumerate(s))
 
+    def of_rows(self, supports: np.ndarray) -> np.ndarray:
+        """The rank of every row of ``supports``, ascending 0-based tuples, by the same formula."""
+        n, m = self.n_indices, self.size
+        at = np.full(len(supports), math.comb(n, m) - 1, dtype=np.intp)
+        for t, column in enumerate(supports.T):
+            at -= np.array([math.comb(n - 1 - v, m - t) for v in range(n)], dtype=np.intp)[column]
+        return at
+
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
@@ -500,9 +497,8 @@ class MeasurementEnsemble:
     The partition/matching/permutation fields carry the provenance of the
     structured constructions; ensembles assembled from arbitrary rotations
     (see :func:`custom_ensemble`) leave them unset.  ``coverage`` is the
-    :class:`MinorTable` a construction certified (``_coverage``) or, when
-    none was given, a scan of the minors made on first access, so consumers
-    that never read coverage never scan.
+    :class:`MinorTable` of the rotations, scanned on first access, so
+    consumers that never read coverage never scan.
     """
 
     n_modes: int
@@ -516,12 +512,9 @@ class MeasurementEnsemble:
     retries: int = 0
     block_min_entry: float = 0.0
     within_pairs: tuple[tuple[int, int], ...] = ()
-    _coverage: MinorTable | None = None
 
     @cached_property
     def coverage(self) -> MinorTable:
-        if self._coverage is not None:
-            return self._coverage
         return scan_minors(self.arrays(), self.n_modes, self.degree_k)
 
     @property
@@ -713,13 +706,6 @@ class _IndexSets:
         self.rows = (np.array(self.row_sets) - 1).astype(self.cols.dtype)
         self.best_dtype = np.min_scalar_type(len(self.row_sets) - 1)
 
-    @cached_property
-    def splits(self):
-        """The degree-4 split table (:func:`majorana_jm._laplace.split_table`)."""
-        from majorana_jm._laplace import split_table
-
-        return split_table(self.n_modes, self.cols)
-
 
 @functools.lru_cache(maxsize=4)
 def _index_sets(n_modes: int, half_degree: int) -> _IndexSets:
@@ -763,16 +749,80 @@ def _pair_chunks(bounds, chunk: int):
             yield layer[at], order[flat + shift[at]]
 
 
+def _column_permutation(base: np.ndarray, o: np.ndarray) -> np.ndarray | None:
+    """``p`` with ``o[:, c] == base[:, p[c]]`` for every column ``c``, else None."""
+    match = (o.T[:, None, :] == base.T[None, :, :]).all(axis=2)
+    p = match.argmax(axis=1)
+    # orthogonal columns are distinct, so a full match is a permutation
+    return p if match[np.arange(len(p)), p].all() else None
+
+
+def _odd_inversions(labels: np.ndarray) -> np.ndarray:
+    """Per row of ``labels``: whether its pairs ``t < u`` with ``labels[t] > labels[u]`` are odd in number."""
+    odd = np.zeros(len(labels), dtype=bool)
+    for t, u in itertools.combinations(range(labels.shape[1]), 2):
+        odd ^= labels[:, t] > labels[:, u]
+    return odd
+
+
+def _image_ranks(sets: _IndexSets, perm: np.ndarray) -> np.ndarray:
+    """Per support ``S``: the position of its image ``sorted(perm[S])`` among the supports."""
+    images = np.sort(perm.astype(sets.cols.dtype)[sets.cols], axis=1)
+    return _SupportRank(2 * sets.n_modes, 2 * sets.half_degree).of_rows(images)
+
+
+def _permuted_row(sets: _IndexSets, best: np.ndarray, minors: np.ndarray, perm: np.ndarray):
+    """The ``(best, minors)`` row of ``base[:, perm]`` from the row of ``base``.
+
+    Its minor on ``S`` is the base's on the columns ``perm[S]``: the
+    base's support ``sorted(perm[S])``, negated where the sort is odd.
+    Every row set's ``|det|`` and its rounding stay, so the best row set
+    does too.  The negation is ``0.0 - x``, which keeps a structural zero
+    ``+0.0``.
+    """
+    at = _image_ranks(sets, perm)
+    signed = minors[at]
+    odd = _odd_inversions(perm.astype(sets.cols.dtype)[sets.cols])
+    np.subtract(0.0, signed, out=signed, where=odd)
+    return best[at], signed
+
+
+def _scan_rotation(arr: np.ndarray, sets: _IndexSets, best: np.ndarray, minors: np.ndarray) -> None:
+    """Reduce every nonzero minor of one rotation into its ``(best, minors)`` row, in place."""
+    bounds = _group_bounds(arr, sets.rows, sets.cols)
+    order, lo, hi, _ = bounds
+    top = np.zeros(len(sets.cols))  # the running best rounded |det|
+    top[order[lo[0] : hi[0]]] = -1.0  # row set 0 assigns its whole group
+    chunks = None
+    if sets.half_degree > 1:
+        from majorana_jm import _blockminors
+
+        chunks = _blockminors.grouped_minors(arr, sets, bounds)
+    if chunks is None:
+        chunks = _minor_groups(arr, sets.rows, sets.cols, bounds)
+    for i, match, dets in chunks:
+        vals = np.abs(np.round(dets, 12))
+        won = vals > top[match]
+        at = match[won]
+        top[at] = vals[won]
+        best[at] = i if isinstance(i, int) else i[won]
+        minors[at] = dets[won]
+
+
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
-    Each matrix's nonzero minors come in chunks and are reduced straight
-    into that matrix's ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))``
-    block is held.  At ``2k = 2`` they come one row set's group at a time
-    from :func:`_minor_groups` (LAPACK); at ``2k = 4`` by Laplace expansion
-    (:mod:`majorana_jm._laplace`); at ``2k >= 6`` as products of the
-    minors of the matrix's components (:mod:`majorana_jm._blockminors`),
-    or from LAPACK where the matrix is one component.  Row set 0 assigns
+    The rotations are walked in order, as the shot simulator walks them.
+    One whose columns are exactly (``==``) the current base rotation's
+    columns permuted takes the base's row, relabelled and signed
+    (:func:`_permuted_row`); any other becomes the base and goes through a
+    kernel, so a constructed ensemble runs one kernel in all.  The kernel
+    reduces a rotation's nonzero minors chunk by chunk straight into its
+    ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))`` block is held.
+    At ``2k = 2`` they come one row set's group at a time from
+    :func:`_minor_groups` (LAPACK); at ``2k >= 4`` as products of the
+    minors of the rotation's components (:mod:`majorana_jm._blockminors`),
+    or from LAPACK where the rotation is one component.  Row set 0 assigns
     its group; a later row set replaces an entry only when its ``|det|``
     rounded to 12 decimals is strictly larger.  That is the first-wins
     argmax over the block: a support no row set matches keeps row set 0
@@ -783,29 +833,14 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     sets = _index_sets(n_modes, half_degree)
     best = np.zeros((len(arrays), len(sets.cols)), dtype=sets.best_dtype)
     minors = np.zeros(best.shape)
+    base = None
     for r, arr in enumerate(arrays):
-        bounds = _group_bounds(arr, sets.rows, sets.cols)
-        order, lo, hi, _ = bounds
-        top = np.zeros(len(sets.cols))  # the running best rounded |det|
-        top[order[lo[0] : hi[0]]] = -1.0  # row set 0 assigns its whole group
-        chunks = None
-        if half_degree == 2:
-            from majorana_jm import _laplace
-
-            chunks = _laplace.grouped_minors(arr, sets.splits, bounds)
-        elif half_degree > 2:
-            from majorana_jm import _blockminors
-
-            chunks = _blockminors.grouped_minors(arr, sets, bounds)
-        if chunks is None:
-            chunks = _minor_groups(arr, sets.rows, sets.cols, bounds)
-        for i, match, dets in chunks:
-            vals = np.abs(np.round(dets, 12))
-            won = vals > top[match]
-            at = match[won]
-            top[at] = vals[won]
-            best[r, at] = i if isinstance(i, int) else i[won]
-            minors[r, at] = dets[won]
+        perm = None if base is None else _column_permutation(arrays[base], arr)
+        if perm is None:
+            base = r
+            _scan_rotation(arr, sets, best[r], minors[r])
+        else:
+            best[r], minors[r] = _permuted_row(sets, best[base], minors[base], perm)
     return MinorTable(sets, best, minors)
 
 
@@ -820,7 +855,6 @@ def degree2k_ensemble(
     half_degree: int,
     n_matrices: int | None = None,
     seed: int | None = None,
-    max_retries: int = 200,
 ) -> MeasurementEnsemble:
     """Randomized ensemble covering all degree-2k observables.
 
@@ -828,7 +862,10 @@ def degree2k_ensemble(
     random permutation (Fisher-Yates through the seeded generator).  A
     rotation covers a support when its best diagonal-row minor meets the
     lower-flat product bound; when the union of covers is incomplete the
-    weakest permutation is resampled, up to ``max_retries`` times.
+    weakest permutation is resampled, up to ``_MAX_RETRIES`` times.  The
+    base is scanned once and each candidate's covers are read off it
+    (:func:`_image_ranks`); the ensemble's table is the scan of its final
+    rotations, the one that ``validate`` and ``sharpness`` repeat.
     """
     if half_degree < 1:
         raise ValueError("half_degree must be >= 1")
@@ -846,40 +883,23 @@ def degree2k_ensemble(
     partition, blocks, matching, pi, o1, min_entry, within = _base_rotation(n_modes)
     two_n = 2 * n_modes
     threshold = min_entry ** (2 * half_degree)
-
-    def scan(i: int) -> None:
-        # candidate i's reductions go to its row of the ensemble's table;
-        # beside them only its coverage mask (best minor meets the bound) is kept
-        table = scan_minors([o1 @ permutation_matrix(sigmas[i])], n_modes, half_degree)
-        best[i], minors[i] = (a[0] for a in table.per_matrix)
-        covered[i] = np.abs(minors[i]) >= threshold - 1e-12
-
-    sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
     sets = _index_sets(n_modes, half_degree)
-    best = np.empty((n_matrices, len(sets.cols)), dtype=sets.best_dtype)
-    minors = np.empty(best.shape)
-    covered = np.empty(best.shape, dtype=bool)
-    for i in range(n_matrices):
-        scan(i)
+    # the base's covers: a candidate's minor on S is the base's on sigma[S], up to sign
+    strong = np.abs(scan_minors([o1], n_modes, half_degree).per_matrix[1][0]) >= threshold - 1e-12
+    sigmas = [rng.permutation(two_n) for _ in range(n_matrices)]
+    covered = np.stack([strong[_image_ranks(sets, sigma)] for sigma in sigmas])
     retries = 0
     while not covered.any(axis=0).all():
-        if retries >= max_retries:
+        if retries >= _MAX_RETRIES:
             raise CoverageError(
-                f"coverage not achieved within {max_retries} resamples"
+                f"coverage not achieved within {_MAX_RETRIES} resamples"
             )
         weakest = int(np.argmin(covered.sum(axis=1)))
         sigmas[weakest] = rng.permutation(two_n)
-        scan(weakest)
+        covered[weakest] = strong[_image_ranks(sets, sigmas[weakest])]
         retries += 1
-    # the kept candidates' reductions are the ensemble's table: no rescan
-    table = MinorTable(sets, best, minors)
-    if table.uncovered:
-        raise CoverageError(f"uncovered supports remain: {table.uncovered[:5]}")
-    if table.min_eta < threshold - 1e-12:
-        raise CoverageError(
-            f"min sharpness {table.min_eta:.3e} below bound {threshold:.3e}"
-        )
-    return MeasurementEnsemble(
+    del strong, covered  # not held through the final scan
+    ensemble = MeasurementEnsemble(
         n_modes=n_modes,
         degree_k=half_degree,
         matrices=tuple(OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas),
@@ -891,8 +911,15 @@ def degree2k_ensemble(
         retries=retries,
         block_min_entry=min_entry,
         within_pairs=within,
-        _coverage=table,
     )
+    table = ensemble.coverage
+    if table.uncovered:
+        raise CoverageError(f"uncovered supports remain: {table.uncovered[:5]}")
+    if table.min_eta < threshold - 1e-12:
+        raise CoverageError(
+            f"min sharpness {table.min_eta:.3e} below bound {threshold:.3e}"
+        )
+    return ensemble
 
 
 def custom_ensemble(

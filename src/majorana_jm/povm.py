@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 PARENT_ORACLE_LIMIT = 5
+# random (R, S) marginals parent_validate checks per rotation
+_MARGINAL_CHECKS = 3
 
 
 def x_string_from_subset(mask: int, n_modes: int) -> np.ndarray:
@@ -357,7 +359,7 @@ def povm_validate(effects) -> PovmReport:
     return PovmReport(residual, min_eig, len(effects))
 
 
-def parent_validate(o_arr, n_modes: int, marginal_checks: int = 3, rng=None):
+def parent_validate(o_arr, n_modes: int, rng=None):
     """Full dense validation of one parent rotation.
 
     Checks the effect table for positivity and completeness, the partial
@@ -375,7 +377,7 @@ def parent_validate(o_arr, n_modes: int, marginal_checks: int = 3, rng=None):
     rng = rng or np.random.default_rng(0)
     terms = minor_terms(arr, n_modes)
     candidates = [t for t in terms if abs(t[2]) > 1e-12] or terms
-    for _ in range(marginal_checks):
+    for _ in range(_MARGINAL_CHECKS):
         rows, cols, det = candidates[int(rng.integers(0, len(candidates)))]
         for e in (1, -1):
             marg = marginal_effect(arr, rows, cols, e, n_modes)

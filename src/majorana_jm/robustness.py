@@ -506,7 +506,6 @@ def build_report(
     method: str,
     value: float | None = None,
     section: str | None = None,
-    construction_seed: int = 0,
 ) -> RobustnessReport:
     """Assemble a report with every bound that applies at this size."""
     bounds: dict = {"thm2_upper": thm2_upper_bound(n_modes, degree)}
@@ -517,9 +516,7 @@ def build_report(
         from majorana_jm.baselines import shadow_jm_bound
 
         bounds["shadow_lower"] = shadow_jm_bound(n_modes, half)
-        bounds["construction_lower"] = _construction_lower(
-            n_modes, half, construction_seed
-        )
+        bounds["construction_lower"] = _construction_lower(n_modes, half)
     else:
         bounds["ho_value"] = None
         bounds["ho_conjectured"] = None
@@ -528,11 +525,12 @@ def build_report(
     return RobustnessReport(n_modes, degree, method, value, section, bounds)
 
 
-def _construction_lower(n_modes: int, half_degree: int, seed: int) -> float | None:
+def _construction_lower(n_modes: int, half_degree: int) -> float | None:
     """Achievable sharpness of the explicit randomized parent, if feasible.
 
     Uses the exact effective sharpness (mean over the rotations), which is
-    a true joint-measurability witness and hence a lower bound.
+    a true joint-measurability witness and hence a lower bound.  The
+    randomized construction runs with seed 0.
     """
     from majorana_jm.matching import CoverageError, degree2_ensemble, degree2k_ensemble
 
@@ -540,7 +538,7 @@ def _construction_lower(n_modes: int, half_degree: int, seed: int) -> float | No
         if half_degree == 1:
             ens = degree2_ensemble(n_modes)
         else:
-            ens = degree2k_ensemble(n_modes, half_degree, seed=seed)
+            ens = degree2k_ensemble(n_modes, half_degree, seed=0)
     except (ValueError, CoverageError):
         return None
     # the worst support's mean |minor| over the rotations, read off the table

@@ -47,8 +47,8 @@ from majorana_jm.algebra import (
     monomial_trace,
     parity,
 )
-from majorana_jm.gaussian import compile_gaussian_unitary, submatrix_det
-from majorana_jm.matching import MeasurementEnsemble
+from majorana_jm.gaussian import compile_gaussian_unitary
+from majorana_jm.matching import MeasurementEnsemble, _column_permutation
 
 if TYPE_CHECKING:  # simulate never loads povm; the functions that use it import it
     from majorana_jm.povm import SharpnessTable
@@ -160,7 +160,6 @@ class ShotBatch:
     r: np.ndarray  # (L,) 1-based
     conj_mask: np.ndarray  # (L,) uint64
     q: np.ndarray  # (L, n) int8
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.r)
@@ -251,21 +250,14 @@ def _born_cdfs(unitary, weights, rows, flip, phase, zmask) -> np.ndarray:
     return cdf
 
 
-def _column_permutation(base: np.ndarray, o: np.ndarray) -> np.ndarray | None:
-    """``p`` with ``o[:, c] == base[:, p[c]]`` for every column ``c``, else None."""
-    match = (o.T[:, None, :] == base.T[None, :, :]).all(axis=2)
-    p = match.argmax(axis=1)
-    # orthogonal columns are distinct, so a full match is a permutation
-    return p if match[np.arange(len(p)), p].all() else None
-
-
 def _permuted(rows: np.ndarray, masks: np.ndarray, perm: np.ndarray):
     """Eigen-rows and group masks of the rotation ``O_b Q`` under the base's unitary.
 
-    ``perm`` is :func:`_column_permutation` of ``O_b Q`` against ``O_b``, so
-    ``U(O_b Q) ~ U(O_b) U(Q)`` and ``U(Q) gamma_m U(Q)^dag = gamma_perm[m]``:
-    the group of mask ``X`` becomes the base's group of ``perm(X)`` on the
-    rows ``U(Q) v_j``, with signs and phases that ``|amplitude|^2`` drops.
+    ``perm`` is ``matching._column_permutation`` of ``O_b Q`` against
+    ``O_b``, so ``U(O_b Q) ~ U(O_b) U(Q)`` and
+    ``U(Q) gamma_m U(Q)^dag = gamma_perm[m]``: the group of mask ``X``
+    becomes the base's group of ``perm(X)`` on the rows ``U(Q) v_j``, with
+    signs and phases that ``|amplitude|^2`` drops.
     Each cycle ``c0 -> c1 -> ...`` of ``perm`` is the transpositions
     ``(c0 c1), (c0 c2), ...`` in that order, and the reflection
     ``(gamma_a - gamma_b)/sqrt(2)`` conjugates ``gamma_a <-> gamma_b`` and
@@ -314,9 +306,7 @@ def _outcomes(cdfs: np.ndarray, group: np.ndarray, uniforms: np.ndarray) -> np.n
     return out
 
 
-def simulate_shots(
-    state: FermionicState, ensemble: MeasurementEnsemble, n_shots: int, rng, seed: int | None = None
-) -> ShotBatch:
+def simulate_shots(state: FermionicState, ensemble: MeasurementEnsemble, n_shots: int, rng) -> ShotBatch:
     """Sample shots of the randomized parent measurement.
 
     Rotation indices and conjugation monomials are drawn uniformly up
@@ -373,7 +363,7 @@ def simulate_shots(
             outcomes[shots] = _outcomes(cdfs, group[shots] - b, uniforms[shots])
     q_out = np.empty((n_shots, n), dtype=np.int8)
     q_out[order] = _pair_sign_table(n)[:, outcomes].T
-    return ShotBatch(n, rs + 1, masks, q_out, seed=seed)
+    return ShotBatch(n, rs + 1, masks, q_out)
 
 
 def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble):
@@ -582,27 +572,22 @@ def predicted_variance(ham: HamiltonianSpec, o_arr, state: FermionicState) -> fl
             rows, det = tab.assignment(1, subset)
             if rows is None:
                 raise UncoveredTargetError(f"term {subset} has zero sharpness")
-            assignment[subset] = rows
+            assignment[subset] = rows, det
     total = 0.0
     for subset, coeff in ham.terms:
-        nu = submatrix_det(arr, assignment[subset], subset)
-        if nu == 0.0:
-            raise UncoveredTargetError(f"term {subset} has zero sharpness")
-        total += coeff ** 2 / nu ** 2
+        total += coeff ** 2 / assignment[subset][1] ** 2
     for (s1, c1) in ham.terms:
         for (s2, c2) in ham.terms:
             if s1 == s2:
                 continue
-            r1, r2 = assignment[s1], assignment[s2]
+            (r1, nu1), (r2, nu2) = assignment[s1], assignment[s2]
             # E[e_S e_S'] = coeff * tr(gamma_{S xor S'} rho); dividing by the
             # sharpness product turns it into the nu-ratio of the variance law
             coeff = two_observable_correlation(arr, (r1, s1), (r2, s2), n)
             if coeff == 0.0:
                 continue
-            eta1 = abs(submatrix_det(arr, r1, s1))
-            eta2 = abs(submatrix_det(arr, r2, s2))
             sd = tuple(sorted(set(s1) ^ set(s2)))
-            total += c1 * c2 * coeff * state.expectation(sd) / (eta1 * eta2)
+            total += c1 * c2 * coeff * state.expectation(sd) / abs(nu1 * nu2)
     return total - ham.expectation(state) ** 2
 
 

@@ -70,6 +70,18 @@ class TestEnsembleArchive:
         assert main(["validate", "--ensemble", str(path)]) == 4
         assert "format" in capsys.readouterr().err
 
+    def test_coverage_csv_streams_into_the_entry_and_the_side_file(self, tmp_path, monkeypatch):
+        # blocks of 4 rows: the 15 supports go out in four writes
+        monkeypatch.setattr(io, "_JOIN_ROWS", 4)
+        ens = degree2_ensemble(3)
+        path = tmp_path / "ens.zip"
+        assert io.write_ensemble_archive(path, ens) is None
+        with zipfile.ZipFile(path) as zf:
+            stored = zf.read("coverage.csv")
+        text = io.coverage_csv(ens.coverage)
+        assert len(text.splitlines()) == 16
+        assert stored == (tmp_path / "ens.zip.coverage.csv").read_bytes() == text.encode()
+
     def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         import time
 
@@ -511,7 +523,8 @@ class TestCli:
         from majorana_jm import matching, povm
 
         calls = []
-        scan_minors = matching.scan_minors
+        kernels = []
+        scan_minors, group_bounds = matching.scan_minors, matching._group_bounds
 
         def counted(arrays, n_modes, half_degree):
             calls.append(len(arrays))
@@ -519,21 +532,27 @@ class TestCli:
 
         monkeypatch.setattr(matching, "scan_minors", counted)
         monkeypatch.setattr(povm, "scan_minors", counted)
+        monkeypatch.setattr(matching, "_group_bounds", lambda *a: kernels.append(1) or group_bounds(*a))
         archive = str(tmp_path / "ens.zip")
         assert self.run("construct", "--n", "6", "--k", "2", "--seed", "7", "--out", archive) == 0
         info = json.loads(capsys.readouterr().out)
-        # one single-matrix scan per candidate rotation, none for the final certificate
-        assert calls == [1] * (info["n_matrices"] + info["retries"])
+        # the base rotation once, for every candidate's covers, then the final
+        # rotations, all of them the base with permuted columns: one kernel each
+        assert calls == [1, info["n_matrices"]]
+        assert len(kernels) == 2
         for command in ("validate", "sharpness"):
             calls.clear()
+            kernels.clear()
             assert self.run(command, "--ensemble", archive, "--out", str(tmp_path / command)) == 0
             assert calls == [info["n_matrices"]]
+            assert len(kernels) == 1
 
     def test_exact_estimate_scans_each_extra_degree_once(self, tmp_path, monkeypatch):
         from majorana_jm import matching, povm
 
         halves = []
-        scan_minors = matching.scan_minors
+        kernels = []
+        scan_minors, group_bounds = matching.scan_minors, matching._group_bounds
 
         def counted(arrays, n_modes, half_degree):
             halves.append(half_degree)
@@ -541,6 +560,7 @@ class TestCli:
 
         monkeypatch.setattr(matching, "scan_minors", counted)
         monkeypatch.setattr(povm, "scan_minors", counted)
+        monkeypatch.setattr(matching, "_group_bounds", lambda *a: kernels.append(1) or group_bounds(*a))
         archive = str(tmp_path / "ens.zip")
         assert self.run("construct", "--n", "3", "--k", "1", "--out", archive) == 0
         state_path = tmp_path / "state.json"
@@ -548,14 +568,17 @@ class TestCli:
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
         halves.clear()
+        kernels.clear()
         assert self.run(
             "estimate", "--state", str(state_path), "--ensemble", archive,
             "--targets", "gamma[1,2]", "--hamiltonian", str(ham_path),
             "--shots", "0", "--out", str(tmp_path / "exact.json"),
         ) == 0
         # the archive's degree-2 table is scanned when estimate builds its
-        # sharpness table, degree 4 once, lazily
+        # sharpness table, degree 4 once, lazily; O2 is O1 with permuted
+        # columns, so each degree runs one kernel
         assert halves == [1, 2]
+        assert len(kernels) == 2
 
     def test_simulate_never_scans_minors(self, tmp_path, monkeypatch):
         from majorana_jm import matching, povm
@@ -634,7 +657,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert loaded["simulate"] == ["algebra", "cli", "gaussian", "io", "matching", "sampling"]
     assert loaded["attribute"] == "majorana_jm.sampling"
     # sharpness reads minors only: povm without its dense oracles' algebra;
-    # a degree-4 scan loads the Laplace kernel and never the 2k >= 6 one
+    # a degree-4 scan loads the block kernel
     loaded = _modules_loaded(
         [
             ["sharpness", ["sharpness", "--ensemble", "ens.zip", "--out", "sharpness.csv"]],
@@ -643,7 +666,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         tmp_path,
     )
     assert loaded["sharpness"] == ["cli", "gaussian", "io", "matching", "povm"]
-    assert loaded["construct_k2"] == ["_laplace", "cli", "gaussian", "io", "matching", "povm"]
+    assert loaded["construct_k2"] == ["_blockminors", "cli", "gaussian", "io", "matching", "povm"]
 
 
 class TestMixedDegreeHamiltonian:

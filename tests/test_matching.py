@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorana_jm import _blockminors, _laplace, matching
+from majorana_jm import _blockminors, matching
 from majorana_jm.gaussian import lower_flat, random_orthogonal, submatrix_det
 from majorana_jm.matching import (
     COVERAGE_TOL,
@@ -55,7 +55,7 @@ class TestMatching:
     def test_sparseness_predicate(self, side):
         m = sparse_matching(side)
         n_modes = side * (side + 1) // 2
-        assert m.is_sparsely_arranged(build_partition(n_modes))
+        assert m.relaxed_sparseness(build_partition(n_modes)) == (True, ())
         assert len(m.edges) == math.comb(side + 1, 2)
 
     def test_pi_cycles_match_worked_example(self):
@@ -427,8 +427,9 @@ class TestMinorDets:
     def test_scan_bitwise_equal_to_block_argmax(self, n, half, seed, layout, kind):
         # repeated matrices tie exactly across rotations, and the tiny
         # rotation has supports whose every rounded minor is zero, where
-        # row set 0's own signed minor must be kept; at 2k = 4 the minors
-        # come from the Laplace expansion, not LAPACK, so the last bits differ
+        # row set 0's own signed minor must be kept; at 2k = 4 the minors of
+        # a rotation of several components come from the block kernel, not
+        # LAPACK, so the last bits differ
         rng = np.random.default_rng(seed)
         base = [_rotation(kind, 2 * n, rng) for _ in range(2)]
         arrays = [base[b] for b in layout]
@@ -473,18 +474,13 @@ class TestMinorDets:
         if kind == "random":
             assert np.array_equal(got[1].view(np.int64), _argmax_scan(arrays, n, 3)[1].view(np.int64))
 
-    def test_laplace_chunks_match_one_chunk(self, monkeypatch):
-        # a dense rotation's layers run over several chunks of a few pairs
-        arr = random_orthogonal(12, np.random.default_rng(3)).entries
-        whole = scan_minors([arr], 6, 2).per_matrix
-        monkeypatch.setattr(_laplace, "_PAIR_CHUNK", 7)
-        _assert_same_reductions(scan_minors([arr], 6, 2).per_matrix, whole)
-
     def test_block_kernel_chunks_match_one_chunk(self, monkeypatch):
+        # the layers run over several chunks of a few pairs, at 2k = 4 and 6
         arr = _several_blocks(6, np.random.default_rng(3))
-        whole = scan_minors([arr], 6, 3).per_matrix
+        whole = {half: scan_minors([arr], 6, half).per_matrix for half in (2, 3)}
         monkeypatch.setattr(_blockminors, "_PAIR_CHUNK", 7)
-        _assert_same_reductions(scan_minors([arr], 6, 3).per_matrix, whole)
+        for half in (2, 3):
+            _assert_same_reductions(scan_minors([arr], 6, half).per_matrix, whole[half])
 
     def test_block_kernel_runs_where_the_tables_pay(self, monkeypatch):
         # a matrix of several small components is read off its tables;
@@ -530,20 +526,30 @@ class TestMinorDets:
     @pytest.mark.parametrize("kind", ["degree2k", "random"])
     def test_evaluates_only_the_minors_the_blocks_allow(self, monkeypatch, kind):
         # a degree-2k rotation is P_pi D with permuted columns, so few row
-        # set and support pairs meet its blocks equally; a dense rotation
-        # is one block and goes through every minor
+        # set and support pairs meet its blocks equally, and the block
+        # kernel reads them; a dense rotation is one block and goes through
+        # every minor on LAPACK
+        counted = []
         if kind == "degree2k":
             arr = degree2k_ensemble(10, 2, seed=1).arrays()[0]
+            pairs = _blockminors._pair_chunks
+
+            def counting(bounds, chunk):
+                for i, j in pairs(bounds, chunk):
+                    counted.append(len(i))
+                    yield i, j
+
+            monkeypatch.setattr(_blockminors, "_pair_chunks", counting)
         else:
             arr = random_orthogonal(20, np.random.default_rng(1)).entries
-        dets = _laplace._degree4_dets
-        counted = []
+            groups = matching._minor_groups
 
-        def counting(pair_minors, offsets, splits, i, j):
-            counted.append(len(i))
-            return dets(pair_minors, offsets, splits, i, j)
+            def counting(*args):
+                for i, match, dets in groups(*args):
+                    counted.append(len(match))
+                    yield i, match, dets
 
-        monkeypatch.setattr(_laplace, "_degree4_dets", counting)
+            monkeypatch.setattr(matching, "_minor_groups", counting)
         scan_minors([arr], 10, 2)
         share = sum(counted) / (math.comb(10, 2) * math.comb(20, 4))
         if kind == "degree2k":
@@ -571,6 +577,91 @@ def _scan_peak(arrays, n, half):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _odd(sequence) -> bool:
+    return sum(a > b for a, b in itertools.combinations(sequence, 2)) % 2 == 1
+
+
+def _signed_base_row(base_row, p, table):
+    """Loop oracle of the gather: support S reads the base's entry at sorted(p[S]), negated if p[S] is odd."""
+    best, minors = base_row
+    out_best, out = np.empty_like(best), np.empty_like(minors)
+    for j, support in enumerate(table.cols.tolist()):
+        image = [p[c] for c in support]
+        at = table.index[tuple(sorted(v + 1 for v in image))]
+        out_best[j] = best[at]
+        out[j] = 0.0 - minors[at] if _odd(image) else minors[at]
+    return out_best, out
+
+
+class TestPermutedRotations:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        half=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(KINDS + ["degree2", "degree2k"]),
+        odd=st.booleans(),
+        flip=st.booleans(),
+    )
+    def test_gathered_rows_match_one_rotation_scans(self, n, half, seed, kind, odd, flip):
+        # every rotation after the first is the first with permuted columns,
+        # so the scan reads it off the first one's row
+        n = max(n, 2) if kind == "tiny" else n  # its rotation needs three generators
+        half = min(half, n)
+        rng = np.random.default_rng(seed)
+        if kind == "degree2":
+            arrays = degree2_ensemble(n).arrays()
+        elif kind == "degree2k":
+            # k = 2 needs n >= 6; below it the construction runs at k = 1
+            arrays = degree2k_ensemble(n, 2 if n == 6 else 1, seed=seed).arrays()
+        else:
+            a = _rotation(kind, 2 * n, rng)
+            if flip:  # the other determinant
+                a = a * np.r_[-1.0, np.ones(2 * n - 1)][:, None]
+            sigmas = [rng.permutation(2 * n) for _ in range(2)]
+            for sigma in sigmas:
+                if _odd(sigma) != odd:
+                    sigma[[0, 1]] = sigma[[1, 0]]
+            arrays = [a] + [a @ permutation_matrix(sigma) for sigma in sigmas]
+        table = scan_minors(arrays, n, half)
+        rows = np.array(diag_index_sets(n, half)) - 1
+        base_row = tuple(a[0] for a in scan_minors(arrays[:1], n, half).per_matrix)
+        _assert_same_reductions(tuple(a[:1] for a in table.per_matrix), tuple(a[None] for a in base_row))
+        for r, o in enumerate(arrays[1:], start=1):
+            got_best, got = (a[r] for a in table.per_matrix)
+            ref_best, ref = (a[0] for a in scan_minors([o], n, half).per_matrix)
+            assert got_best.dtype == ref_best.dtype and np.array_equal(got_best, ref_best)
+            assert np.max(np.abs(got - ref)) <= 1e-15
+            assert not got[_structural_zeros(o, rows, table.cols)].view(np.int64).any()
+            p = [next(b for b in range(2 * n) if np.array_equal(o[:, c], arrays[0][:, b])) for c in range(2 * n)]
+            want_best, want = _signed_base_row(base_row, p, table)
+            assert np.array_equal(got_best, want_best)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "layout, kernels",
+        [("degree2k", 1), ("A, AP, B, BP", 2), ("A, B, AP", 3)],
+    )
+    def test_one_kernel_per_base_rotation(self, monkeypatch, layout, kernels):
+        # a rotation becomes the base unless it permutes the current base's columns
+        calls = []
+        group_bounds = matching._group_bounds
+        monkeypatch.setattr(matching, "_group_bounds", lambda *a: calls.append(1) or group_bounds(*a))
+        rng = np.random.default_rng(32)
+        if layout == "degree2k":
+            arrays = degree2k_ensemble(6, 2, seed=5).arrays()
+            assert len(arrays) == 9
+        else:
+            a, b = (random_orthogonal(8, rng).entries for _ in range(2))
+            p = permutation_matrix(rng.permutation(8))
+            named = {"A": a, "AP": a @ p, "B": b, "BP": b @ p}
+            arrays = [named[m] for m in layout.split(", ")]
+        for half in (1, 2, 3):
+            calls.clear()
+            scan_minors(arrays, 6 if layout == "degree2k" else 4, half)
+            assert len(calls) == kernels
 
 
 class TestLeanTable:
