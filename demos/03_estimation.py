@@ -45,9 +45,9 @@ print(f"\nenergy estimate {energy.estimate:.4f} +- {energy.stderr:.4f}"
 # single-rotation parent: the variance formula applies
 o = random_orthogonal(2 * n, rng)
 single = custom_ensemble(n, 1, [o])
-pred = predicted_variance(ham, o.entries, state)
-big = simulate_shots(state, single, 400_000, rng)
 single_table = sharpness_table(single)
+pred = predicted_variance(ham, single_table, state)
+big = simulate_shots(state, single, 400_000, rng)
 energy1 = estimate_hamiltonian(big, single_table, ham, rng=rng)
 emp = energy1.stderr ** 2 * len(big)
 print(f"single-rotation variance: empirical {emp:.4f} vs predicted {pred:.4f}")

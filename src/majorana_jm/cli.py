@@ -98,12 +98,14 @@ def _apply_config(parser, argv, args):
     return args
 
 
-def _emit(args, text: str):
+def _emit(args, text):
+    """Write ``text`` to --out or stdout; an iterable of strings is written part by part as it comes."""
+    parts = [text] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _require_seed(args):
@@ -172,7 +174,7 @@ def _cmd_sharpness(args):
     from majorana_jm.povm import sharpness_table
 
     ensemble = io.read_ensemble_archive(args.ensemble)
-    _emit(args, io.sharpness_csv(sharpness_table(ensemble)))
+    _emit(args, io._sharpness_csv_parts(sharpness_table(ensemble)))
     return EXIT_OK
 
 
@@ -228,12 +230,26 @@ def _parse_targets(text, n_modes):
     return [monomial_from_str(tok, n_modes).indices for tok in tokens]
 
 
+def _parse_hamiltonian(path, n_modes):
+    """The Hamiltonian JSON ``{"terms": [[indices, coeff], ...]}``, each term checked like a target."""
+    from majorana_jm.algebra import indices_to_support
+    from majorana_jm.sampling import HamiltonianSpec
+
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or "terms" not in data:
+        raise ValueError("--hamiltonian needs a JSON object with a 'terms' list")
+    terms = tuple((tuple(term[0]), float(term[1])) for term in data["terms"])
+    for subset, _ in terms:
+        indices_to_support(subset, n_modes)
+    return HamiltonianSpec(terms)
+
+
 def _cmd_estimate(args):
     from majorana_jm import io
     from majorana_jm.povm import sharpness_table
     from majorana_jm.sampling import (
         EstimationRecord,
-        HamiltonianSpec,
         analytic_estimates,
         estimate_expectations,
         estimate_hamiltonian,
@@ -254,11 +270,7 @@ def _cmd_estimate(args):
     if args.targets:
         targets = _parse_targets(args.targets, state.n_modes)
     if args.hamiltonian:
-        with open(args.hamiltonian) as fh:
-            data = json.load(fh)
-        ham = HamiltonianSpec(
-            tuple((tuple(term[0]), float(term[1])) for term in data["terms"])
-        )
+        ham = _parse_hamiltonian(args.hamiltonian, state.n_modes)
     if not targets and ham is None:
         raise ValueError("nothing to estimate: give --targets and/or --hamiltonian")
     table = sharpness_table(ensemble)
@@ -295,7 +307,7 @@ def _cmd_estimate(args):
     if ham and ensemble.n_matrices == 1:
         import dataclasses
 
-        pred = predicted_variance(ham, ensemble.matrices[0].entries, state)
+        pred = predicted_variance(ham, table, state)
         ham_record = dataclasses.replace(ham_record, predicted_variance=pred)
     _emit(args, io.estimation_report_json(records, ham_record, meta))
     return EXIT_OK

@@ -116,21 +116,25 @@ def coverage_csv(table: MinorTable) -> str:
     return "".join(_coverage_csv_parts(table))
 
 
-def sharpness_csv(table) -> str:
-    """One row per support; an uncovered support reads ``r = 0`` and ``R = []``.
+def _sharpness_csv_parts(table):
+    """Yield the sharpness CSV: its header, then one text per block of :func:`_coverage_blocks`.
 
-    ``eta_RS`` is the best ``(r, R)`` minor, so it equals ``eta_S``, and
-    ``eta_effective = eta_S / N``.
+    One row per support; an uncovered support reads ``r = 0`` and
+    ``R = []``.  ``eta_RS`` is the best ``(r, R)`` minor, so it equals
+    ``eta_S``, and ``eta_effective = eta_S / N``.
     """
     n_matrices = table.n_matrices
-    parts = ["S,r,R,eta_RS,eta_S,eta_effective\n"]
+    yield "S,r,R,eta_RS,eta_S,eta_effective\n"
     for fields in _coverage_blocks(table.coverage):
         lines = []
         for s, r, rows, eta in fields:
             text = format(eta, ".17g")
             lines.append(f"{s},{r},{rows or '[]'},{text},{text},{eta / n_matrices:.17g}\n")
-        parts.append("".join(lines))
-    return "".join(parts)
+        yield "".join(lines)
+
+
+def sharpness_csv(table) -> str:
+    return "".join(_sharpness_csv_parts(table))
 
 
 def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:

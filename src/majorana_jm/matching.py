@@ -494,7 +494,7 @@ class _SupportRank:
 class MeasurementEnsemble:
     """A finite family of orthogonal rotations sampled with weight 1/N each.
 
-    The partition/matching/permutation fields carry the provenance of the
+    The partition and permutation fields carry the provenance of the
     structured constructions; ensembles assembled from arbitrary rotations
     (see :func:`custom_ensemble`) leave them unset.  ``coverage`` is the
     :class:`MinorTable` of the rotations, scanned on first access, so
@@ -505,7 +505,6 @@ class MeasurementEnsemble:
     degree_k: int  # half-degree: the ensemble targets degree-2k observables
     matrices: tuple[OrthogonalMatrix, ...]
     partition: TuranPartition | None = None
-    matching: PerfectMatching | None = None
     pi: np.ndarray | None = None
     sigmas: tuple[np.ndarray | None, ...] | None = None
     seed: int | None = None
@@ -628,7 +627,6 @@ def degree2_ensemble(n_modes: int) -> MeasurementEnsemble:
         degree_k=1,
         matrices=matrices,
         partition=partition,
-        matching=matching,
         pi=pi,
         sigmas=sigmas,
         block_min_entry=min_entry,
@@ -880,7 +878,7 @@ def degree2k_ensemble(
         raise ValueError("seed is mandatory for the randomized construction")
     # counter-based generator for bit-reproducible ensembles across platforms
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    partition, blocks, matching, pi, o1, min_entry, within = _base_rotation(n_modes)
+    partition, blocks, _, pi, o1, min_entry, within = _base_rotation(n_modes)
     two_n = 2 * n_modes
     threshold = min_entry ** (2 * half_degree)
     sets = _index_sets(n_modes, half_degree)
@@ -904,7 +902,6 @@ def degree2k_ensemble(
         degree_k=half_degree,
         matrices=tuple(OrthogonalMatrix(o1 @ permutation_matrix(s)) for s in sigmas),
         partition=partition,
-        matching=matching,
         pi=pi,
         sigmas=tuple(sigmas),
         seed=seed,

@@ -250,7 +250,10 @@ class SharpnessTable:
     are the primary degree's coverage rows, the best (r, R) per observable
     among those winners, ties to the smallest r.  Other even degrees are
     scanned lazily on first access, so mixed-degree Hamiltonians share one
-    table.  ``mean_sharpness`` gives the exact sharpness of the uniformly
+    table.  A subset is ranked once per lookup, and :meth:`minors`,
+    :meth:`assignment`, :meth:`mean_sharpness` and the estimators' sign
+    rule read that one column of every rotation's assignment.
+    ``mean_sharpness`` gives the exact sharpness of the uniformly
     randomized parent, at least the worst-case discount ``eta_S / N``.
     """
 
@@ -275,6 +278,12 @@ class SharpnessTable:
         table = self._table(len(key) // 2)
         return table, table.index[key]
 
+    def _column(self, subset):
+        """The degree's row sets, then each rotation's row set index and signed minor, from one rank."""
+        table, i = self._locate(subset)
+        best, minors = table.per_matrix
+        return table.row_sets, best[:, i], minors[:, i]
+
     @property
     def coverage(self) -> MinorTable:
         """The primary degree's minor table."""
@@ -290,8 +299,7 @@ class SharpnessTable:
 
     def minors(self, subset) -> np.ndarray:
         """Each rotation's assigned signed minor ``m_r(S)`` for a subset, shape ``(N,)``."""
-        table, i = self._locate(subset)
-        return table.per_matrix[1][:, i]
+        return self._column(subset)[2]
 
     def mean_sharpness(self, subset) -> float:
         """Sharpness of the uniformly randomized parent for this observable.
@@ -304,10 +312,9 @@ class SharpnessTable:
 
     def assignment(self, r: int, subset):
         """Best rows and signed minor of matrix ``r`` (1-based) for a subset."""
-        table, i = self._locate(subset)
-        best, vals = table.per_matrix
-        det = float(vals[r - 1, i])
-        return (table.row_sets[int(best[r - 1, i])] if abs(det) > COVERAGE_TOL else None), det
+        row_sets, best, minors = self._column(subset)
+        det = float(minors[r - 1])
+        return (row_sets[int(best[r - 1])] if abs(det) > COVERAGE_TOL else None), det
 
 
 def sharpness_table(ensemble: MeasurementEnsemble) -> SharpnessTable:

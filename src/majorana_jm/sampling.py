@@ -48,14 +48,13 @@ from majorana_jm.algebra import (
     parity,
 )
 from majorana_jm.gaussian import compile_gaussian_unitary
-from majorana_jm.matching import MeasurementEnsemble, _column_permutation
+from majorana_jm.matching import COVERAGE_TOL, MeasurementEnsemble, _column_permutation
 
 if TYPE_CHECKING:  # simulate never loads povm; the functions that use it import it
     from majorana_jm.povm import SharpnessTable
 
 __all__ = [
     "FermionicState",
-    "ShotRecord",
     "ShotBatch",
     "HamiltonianSpec",
     "EstimationRecord",
@@ -144,17 +143,9 @@ class FermionicState:
         return cls(n_modes, vector=vec / np.linalg.norm(vec))
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    shot_id: int
-    r: int  # 1-based rotation index
-    conj_mask: int  # support of the sampled conjugation monomial
-    q: tuple[int, ...]  # basis outcomes, +-1 per mode
-
-
 @dataclass
 class ShotBatch:
-    """Columnar shot storage; records() iterates row views."""
+    """Columnar shot storage, one row per shot."""
 
     n_modes: int
     r: np.ndarray  # (L,) 1-based
@@ -171,12 +162,6 @@ class ShotBatch:
         for j in range(self.n_modes):  # one column at a time, not an (L, n) uint64 block
             bits |= (self.q[:, j] < 0).astype(np.uint64) << np.uint64(j)
         return bits
-
-    def records(self):
-        for i in range(len(self.r)):
-            yield ShotRecord(
-                i, int(self.r[i]), int(self.conj_mask[i]), tuple(int(v) for v in self.q[i])
-            )
 
 
 def _pair_sign_table(n_modes: int) -> np.ndarray:
@@ -392,39 +377,42 @@ def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble)
 
 
 def _sign_rule(table: SharpnessTable, subset):
-    """The post-processing rule ``e_S = tau_r x_S(X) q_R(q)`` of one target.
+    """The post-processing rule ``e_S = tau_r x_S(X) q_R(q)`` of one target, from one table lookup.
 
     Returns the support mask of S, ``tau`` (the sign of each rotation's
-    assigned minor, 0 where the rotation does not cover S) and ``modes`` (the
-    mode mask of each rotation's assigned R).  Targets have even degree, so
-    ``x_S(X) = (-1)^|X & S|`` and ``q_R(q) = (-1)^|q_bits & modes_R|``.
+    assigned minor, 0 where the rotation does not cover S), ``modes`` (the
+    mode mask of each rotation's assigned R), the signed minors ``m_r(S)``
+    and the effective sharpness ``eta_eff(S) = mean_r |m_r(S)|``.  Targets
+    have even degree, so ``x_S(X) = (-1)^|X & S|`` and
+    ``q_R(q) = (-1)^|q_bits & modes_R|``.  Raises
+    :class:`UncoveredTargetError` when no rotation covers S.
     """
-    n = table.n_modes
-    tau = np.zeros(table.n_matrices)
-    modes = np.zeros(table.n_matrices, dtype=np.uint64)
-    for r in range(table.n_matrices):
-        rows, det = table.assignment(r + 1, subset)
-        if rows is not None:
-            tau[r] = math.copysign(1.0, det)
-            modes[r] = indices_to_support([v // 2 for v in rows[1::2]], n)
-    return np.uint64(indices_to_support(subset, n)), tau, modes
+    row_sets, best, minors = table._column(subset)
+    covered = np.abs(minors) > COVERAGE_TOL
+    if not covered.any():
+        raise UncoveredTargetError(f"target {tuple(subset)} is uncovered")
+    tau = np.where(covered, np.copysign(1.0, minors), 0.0)
+    # the even indices 2j of each assigned R name its modes j
+    pairs = (np.array(row_sets, dtype=np.uint64)[best, 1::2] >> np.uint64(1)) - np.uint64(1)
+    modes = np.bitwise_or.reduce(np.uint64(1) << pairs, axis=1)
+    modes[~covered] = 0
+    eta = float(np.abs(minors).mean())
+    return np.uint64(indices_to_support(subset, table.n_modes)), tau, modes, minors, eta
 
 
-def _target_signs(batch: ShotBatch, table: SharpnessTable, subset):
-    """Per-shot post-processed signs for one target, NaN where uncovered."""
-    s_mask, tau, modes = _sign_rule(table, subset)
-    tau[tau == 0.0] = np.nan  # uncovered under this rotation: filled by a coin later
+def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng):
+    """Per-shot signs of one target and its effective sharpness.
+
+    Shots whose rotation does not cover the target take fair coins from ``rng``.
+    """
+    s_mask, tau, modes, _, eta = _sign_rule(table, subset)
     r = batch.r - 1
-    return tau[r] * parity(batch.conj_mask & s_mask) * parity(batch.q_bits & modes[r])
-
-
-def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng) -> np.ndarray:
-    """Per-shot signs for one target, uncovered shots filled by fair coins from ``rng``."""
-    signs = _target_signs(batch, table, subset)
-    holes = np.isnan(signs)
+    tau_r = tau[r]
+    signs = tau_r * parity(batch.conj_mask & s_mask) * parity(batch.q_bits & modes[r])
+    holes = tau_r == 0.0
     if holes.any():
         signs[holes] = rng.choice((-1.0, 1.0), size=int(holes.sum()))
-    return signs
+    return signs, eta
 
 
 @dataclass(frozen=True)
@@ -440,13 +428,6 @@ class EstimationRecord:
             raise ValueError("standard error must be nonnegative")
 
 
-def _effective_sharpness(table: SharpnessTable, subset) -> float:
-    eta = table.mean_sharpness(subset)
-    if eta <= 0.0:
-        raise UncoveredTargetError(f"target {tuple(subset)} is uncovered")
-    return eta
-
-
 def estimate_expectations(
     batch: ShotBatch, table: SharpnessTable, targets, rng=None
 ) -> list[EstimationRecord]:
@@ -459,8 +440,7 @@ def estimate_expectations(
     rng = rng or np.random.default_rng(0)
     records = []
     for subset in targets:
-        eta = _effective_sharpness(table, subset)
-        signs = _filled_signs(batch, table, subset, rng)
+        signs, eta = _filled_signs(batch, table, subset, rng)
         est = float(signs.mean() / eta)
         stderr = float(signs.std(ddof=1) / math.sqrt(len(signs)) / eta)
         records.append(EstimationRecord(tuple(subset), est, len(signs), stderr))
@@ -497,8 +477,8 @@ def estimate_hamiltonian(
     rng = rng or np.random.default_rng(0)
     per_shot = np.zeros(len(batch.r))
     for subset, coeff in ham.terms:
-        eta = _effective_sharpness(table, subset)
-        per_shot += coeff * _filled_signs(batch, table, subset, rng) / eta
+        signs, eta = _filled_signs(batch, table, subset, rng)
+        per_shot += coeff * signs / eta
     est = float(per_shot.mean())
     stderr = float(per_shot.std(ddof=1) / math.sqrt(len(per_shot)))
     return EstimationRecord("hamiltonian", est, len(per_shot), stderr)
@@ -517,8 +497,7 @@ def exact_expectations(probs: np.ndarray, table: SharpnessTable, targets) -> lis
     q_bits = np.arange(2 ** n, dtype=np.uint64)
     records = []
     for subset in targets:
-        eta = _effective_sharpness(table, subset)
-        s_mask, tau, modes = _sign_rule(table, subset)
+        s_mask, tau, modes, _, eta = _sign_rule(table, subset)
         x_s = parity(masks & s_mask)
         total = 0.0
         for r in np.flatnonzero(tau):  # uncovered rotations draw coins: zero mean
@@ -541,38 +520,34 @@ def analytic_estimates(state: FermionicState, table: SharpnessTable, targets) ->
     records = []
     for subset in targets:
         key = tuple(subset)
-        eta = _effective_sharpness(table, subset)
-        _, tau, _ = _sign_rule(table, subset)
+        _, tau, _, minors, eta = _sign_rule(table, subset)
         # tau * m = |m| exactly, so a target every rotation covers has ratio 1.0
-        ratio = float(np.mean(tau * table.minors(subset))) / eta
+        ratio = float(np.mean(tau * minors)) / eta
         if key not in traces:
             traces[key] = state.expectation(subset)
         records.append(EstimationRecord(key, ratio * traces[key], 0, 0.0))
     return records
 
 
-def predicted_variance(ham: HamiltonianSpec, o_arr, state: FermionicState) -> float:
+def predicted_variance(ham: HamiltonianSpec, table: SharpnessTable, state: FermionicState) -> float:
     """Variance of the single-rotation energy estimator.
 
-    Requires the fixed single-rotation, fixed-R(S) setting; the cross terms
-    couple through the two-observable marginal coefficient.
+    ``table`` describes a one-rotation ensemble (``ValueError`` otherwise),
+    whose fixed ``R(S)`` assignments the terms read; the cross terms couple
+    through the two-observable marginal coefficient.
     """
-    from majorana_jm.povm import sharpness_table, two_observable_correlation
+    from majorana_jm.povm import two_observable_correlation
 
-    arr = np.asarray(o_arr, dtype=float)
+    if table.n_matrices != 1:
+        raise ValueError(f"predicted variance needs one rotation, not {table.n_matrices}")
+    arr = table._arrays[0]
     n = state.n_modes
     assignment = {}
-    if ham.terms:
-        from majorana_jm.matching import custom_ensemble
-
-        # one single-rotation table; its lazy degrees serve every term
-        half = len(ham.terms[0][0]) // 2
-        tab = sharpness_table(custom_ensemble(n, half, [arr]))
-        for subset, _ in ham.terms:
-            rows, det = tab.assignment(1, subset)
-            if rows is None:
-                raise UncoveredTargetError(f"term {subset} has zero sharpness")
-            assignment[subset] = rows, det
+    for subset, _ in ham.terms:
+        rows, det = table.assignment(1, subset)
+        if rows is None:
+            raise UncoveredTargetError(f"term {subset} has zero sharpness")
+        assignment[subset] = rows, det
     total = 0.0
     for subset, coeff in ham.terms:
         total += coeff ** 2 / assignment[subset][1] ** 2

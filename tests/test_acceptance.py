@@ -43,7 +43,7 @@ from majorana_jm.sampling import (
     simulate_degree1_shots,
     simulate_shots,
 )
-from majorana_jm.sampling import _effective_sharpness, _target_signs
+from majorana_jm.sampling import _filled_signs
 
 PRINTED_O1 = np.array(
     [
@@ -191,14 +191,13 @@ def test_criterion_07_estimator_statistics():
     o = random_orthogonal(2 * n, rng)
     single = custom_ensemble(n, 1, [o])
     hamiltonian = HamiltonianSpec((((1, 2), 0.8), ((1, 3), -0.5), ((2, 5), 0.4)))
-    pred = predicted_variance(hamiltonian, o.entries, state)
-    big = simulate_shots(state, single, 1_000_000, rng)
     stab = sharpness_table(single)
+    pred = predicted_variance(hamiltonian, stab, state)
+    big = simulate_shots(state, single, 1_000_000, rng)
     per_shot = np.zeros(len(big.r))
     for subset, coeff in hamiltonian.terms:
-        per_shot += coeff * _target_signs(big, stab, subset) / _effective_sharpness(
-            stab, subset
-        )
+        signs, eta = _filled_signs(big, stab, subset, rng)
+        per_shot += coeff * signs / eta
     emp = per_shot.var(ddof=1)
     m4 = ((per_shot - per_shot.mean()) ** 4).mean()
     se = math.sqrt((m4 - emp ** 2) / len(per_shot))

@@ -130,9 +130,9 @@ class TestShotLog:
         text = io.shot_log_csv(batch)
         lines = text.splitlines()
         assert text.endswith("\n") and len(lines) == 301
-        for rec, line in zip(batch.records(), lines[1:]):
-            q_bits = sum(1 << j for j, v in enumerate(rec.q) if v < 0)
-            assert line == f"{rec.shot_id},{rec.r},{rec.conj_mask:x},{q_bits:x}"
+        for i, line in enumerate(lines[1:]):
+            q_bits = sum(1 << j for j, v in enumerate(batch.q[i].tolist()) if v < 0)
+            assert line == f"{i},{batch.r[i]},{int(batch.conj_mask[i]):x},{q_bits:x}"
 
 
 class TestCoverageAndSharpnessCsv:
@@ -414,6 +414,44 @@ class TestCli:
         assert captured.out == "" and "invalid input: --shot" in captured.err
         assert not (tmp_path / "shots.csv").exists()
 
+    @pytest.mark.parametrize(
+        "ham, message",
+        [
+            ({"terms": [[[1, 99], 0.5]]}, "index 99 outside 1..4"),
+            ({"terms": [[[1, 1], 0.5]]}, "repeated index 1"),
+            ({"term": [[[1, 2], 0.5]]}, "--hamiltonian needs a JSON object with a 'terms' list"),
+        ],
+    )
+    def test_estimate_rejects_bad_hamiltonian_terms(self, tmp_path, capsys, ham, message):
+        # Hamiltonian terms are checked like --targets, with a message naming the problem
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        ham_path = tmp_path / "ham.json"
+        ham_path.write_text(json.dumps(ham))
+        capsys.readouterr()
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--hamiltonian", str(ham_path), "--shots", "0",
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid input: {message}" in captured.err
+
+    def test_sharpness_out_equals_library_csv(self, tmp_path, capsys):
+        # the command streams its CSV block by block (1,128 supports: two blocks);
+        # the bytes match the library's one string
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "24", "--k", "1", "--out", str(ens)) == 0
+        out = tmp_path / "sharpness.csv"
+        assert self.run("sharpness", "--ensemble", str(ens), "--out", str(out)) == 0
+        expected = io.sharpness_csv(sharpness_table(io.read_ensemble_archive(ens)))
+        assert out.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert self.run("sharpness", "--ensemble", str(ens)) == 0
+        assert capsys.readouterr().out == expected
+
     def test_estimate_dimension_mismatch_exit4(self, tmp_path):
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
@@ -579,6 +617,37 @@ class TestCli:
         # columns, so each degree runs one kernel
         assert halves == [1, 2]
         assert len(kernels) == 2
+
+    @pytest.mark.parametrize("shots", ["0", "200"])
+    def test_one_rotation_estimate_scans_each_degree_once(self, tmp_path, monkeypatch, shots):
+        # predicted_variance reads the estimate's own table instead of scanning the rotation again
+        from majorana_jm import matching, povm
+        from majorana_jm.gaussian import random_orthogonal
+        from majorana_jm.matching import custom_ensemble
+
+        halves = []
+        scan_minors = matching.scan_minors
+
+        def counted(arrays, n_modes, half_degree):
+            halves.append(half_degree)
+            return scan_minors(arrays, n_modes, half_degree)
+
+        rng = np.random.default_rng(6)
+        archive = tmp_path / "one.zip"
+        io.write_ensemble_archive(archive, custom_ensemble(3, 1, [random_orthogonal(6, rng)]))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.random_pure(3, rng)))
+        ham_path = tmp_path / "ham.json"
+        ham_path.write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
+        monkeypatch.setattr(matching, "scan_minors", counted)
+        monkeypatch.setattr(povm, "scan_minors", counted)
+        out = tmp_path / "est.json"
+        assert self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(archive),
+            "--hamiltonian", str(ham_path), "--shots", shots, "--seed", "3", "--out", str(out),
+        ) == 0
+        assert "predicted_variance" in json.loads(out.read_text())["hamiltonian"]
+        assert halves == [1, 2]
 
     def test_simulate_never_scans_minors(self, tmp_path, monkeypatch):
         from majorana_jm import matching, povm
