@@ -446,12 +446,12 @@ def commutant_dimension(
     generators,
     parity_sector: str | None = None,
     n_modes: int | None = None,
-    tol: float = 1e-8,
 ) -> int:
     """Dimension of the space of matrices commuting with every generator.
 
     Solves the joint linear system ``M A - A M = 0`` by a nullspace
-    computation.  With ``parity_sector`` given, the generators are first
+    computation; singular values up to ``1e-8`` times the largest (or 1)
+    count as zero.  With ``parity_sector`` given, the generators are first
     restricted to the even or odd eigenspace of the parity operator
     (``n_modes`` is then required).
     """
@@ -475,7 +475,7 @@ def commutant_dimension(
     blocks = [np.kron(a.T, eye) - np.kron(eye, a) for a in mats]
     stacked = np.vstack(blocks)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals <= tol * max(1.0, svals[0])))
+    return int(np.sum(svals <= 1e-8 * max(1.0, svals[0])))
 
 
 def monomial_to_str(m: ScaledMonomial) -> str:

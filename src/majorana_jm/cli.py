@@ -218,6 +218,12 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
+def _check_degree(indices):
+    """Refuse a target or term whose degree is not even and positive: only those have a sharpness."""
+    if not indices or len(indices) % 2:
+        raise ValueError(f"target gamma[{','.join(map(str, indices))}] needs an even degree of at least 2")
+
+
 def _parse_targets(text, n_modes):
     import re
 
@@ -227,7 +233,10 @@ def _parse_targets(text, n_modes):
     residue = re.sub(r"gamma\[[^\]]*\]", "", text).replace(",", "").strip()
     if not tokens or residue:
         raise ValueError(f"cannot parse targets {text!r}")
-    return [monomial_from_str(tok, n_modes).indices for tok in tokens]
+    targets = [monomial_from_str(tok, n_modes).indices for tok in tokens]
+    for target in targets:
+        _check_degree(target)
+    return targets
 
 
 def _parse_hamiltonian(path, n_modes):
@@ -242,6 +251,7 @@ def _parse_hamiltonian(path, n_modes):
     terms = tuple((tuple(term[0]), float(term[1])) for term in data["terms"])
     for subset, _ in terms:
         indices_to_support(subset, n_modes)
+        _check_degree(subset)
     return HamiltonianSpec(terms)
 
 
@@ -290,7 +300,7 @@ def _cmd_estimate(args):
         records = analytic_estimates(state, table, list(targets) + ham_terms)
         records, term_records = records[: len(targets)], records[len(targets) :]
         if ham:
-            total = sum(c * r.estimate for (_, c), r in zip(ham.terms, term_records))
+            total = float(sum(c * r.estimate for (_, c), r in zip(ham.terms, term_records)))
             ham_record = EstimationRecord("hamiltonian", total, 0, 0.0)
         meta["mode"] = "exact"
     else:

@@ -10,7 +10,6 @@ convention used throughout.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import zipfile
 import zlib
@@ -31,8 +30,6 @@ if TYPE_CHECKING:  # a command loads robustness or sampling only if it runs them
     from majorana_jm.sampling import EstimationRecord, FermionicState, ShotBatch
 
 __all__ = [
-    "write_matrix_text",
-    "read_matrix_text",
     "matrix_to_text",
     "matrix_from_text",
     "write_ensemble_archive",
@@ -69,16 +66,6 @@ def matrix_from_text(text: str) -> np.ndarray:
     if arr.shape != (size, size):
         raise ValueError("matrix text is malformed")
     return arr
-
-
-def write_matrix_text(path, arr: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(matrix_to_text(arr))
-
-
-def read_matrix_text(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_text(fh.read())
 
 
 def _bracketed(index_sets) -> list[str]:
@@ -225,18 +212,14 @@ def _record_dict(rec: EstimationRecord) -> dict:
     return out
 
 
-def estimation_report_json(
-    records, hamiltonian_record: EstimationRecord | None = None, meta: dict | None = None
-) -> str:
-    payload = {"estimates": [_record_dict(r) for r in records]}
+def estimation_report_json(records, hamiltonian_record: EstimationRecord | None, meta: dict) -> str:
+    payload = {"estimates": [_record_dict(r) for r in records], **meta}
     if hamiltonian_record is not None:
         payload["hamiltonian"] = _record_dict(hamiltonian_record)
-    if meta:
-        payload.update(meta)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def robustness_report_json(report: RobustnessReport, status: str = "ok") -> str:
+def robustness_report_json(report: RobustnessReport, status: str) -> str:
     payload = {
         "n": report.n_modes,
         "k": report.degree,
@@ -250,34 +233,13 @@ def robustness_report_json(report: RobustnessReport, status: str = "ok") -> str:
 
 
 def comparison_csv(rows) -> str:
-    import csv  # only compare writes through csv; the module costs about 0.1 MB of RSS
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = [
-        "n",
-        "k",
-        "eta_construction",
-        "eta_ternary",
-        "shadow_jm_bound",
-        "ho_bound",
-        "thm2_upper",
-    ]
-    writer.writerow(header)
+    """One row per mode count; a missing value is a blank field."""
+    columns = ("eta_construction", "eta_ternary", "shadow_jm_bound", "ho_bound", "thm2_upper")
+    lines = ["n,k," + ",".join(columns) + "\n"]
     for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                row["k"],
-                *(
-                    ""
-                    if row[c] is None
-                    else format(row[c], ".17g")
-                    for c in header[2:]
-                ),
-            ]
-        )
-    return buf.getvalue()
+        values = ("" if row[c] is None else format(row[c], ".17g") for c in columns)
+        lines.append(f"{row['n']},{row['k']},{','.join(values)}\n")
+    return "".join(lines)
 
 
 def state_from_json(data) -> FermionicState:

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +62,8 @@ __all__ = [
 COVERAGE_TOL = 1e-12
 # candidate resamples before the degree-2k construction gives up
 _MAX_RETRIES = 200
+# supports per LAPACK call of the minor scan (4.7 MB of 6x6 submatrices)
+_DET_CHUNK = 1 << 14
 
 
 class CoverageError(RuntimeError):
@@ -350,16 +353,19 @@ def _group_bounds(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 def _minor_groups(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, bounds):
     """Yield ``(i, match, dets)`` per row set ``i``: the supports whose minor can be nonzero.
 
-    ``match`` holds the row set's group of support indices from ``bounds``,
-    the result of :func:`_group_bounds`, ascending, and ``dets`` their
-    minors, one ``np.linalg.det`` call per row set.
+    ``match`` holds a chunk of at most ``_DET_CHUNK`` of the row set's
+    group of support indices from ``bounds``, the result of
+    :func:`_group_bounds`, ascending, and ``dets`` their minors, one
+    ``np.linalg.det`` call per chunk.  The chunks bound the gathered
+    submatrices: a dense rotation puts every support in every group.
     """
     order, lo, hi, _ = bounds
     # gathers with intp indices run about twice as fast as with the cached uint8 ones
-    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-    for i, (r, a, b) in enumerate(zip(rows, lo, hi)):
-        match = order[a:b]
-        yield i, match, np.linalg.det(arr[r[None, :, None], cols[match][:, None, :]])
+    for i, (r, a, b) in enumerate(zip(rows.astype(np.intp), lo.tolist(), hi.tolist())):
+        for start in range(a, b, _DET_CHUNK):
+            match = order[start : min(start + _DET_CHUNK, b)]
+            picked = cols[match].astype(np.intp)
+            yield i, match, np.linalg.det(arr[r[None, :, None], picked[:, None, :]])
 
 
 def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -807,6 +813,34 @@ def _scan_rotation(arr: np.ndarray, sets: _IndexSets, best: np.ndarray, minors: 
         minors[at] = dets[won]
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _scan_footprint(n_modes: int, half_degree: int, n_matrices: int) -> int:
+    """Bytes that a scan of ``n_matrices`` rotations needs, about.
+
+    Per support: its 2k columns, each rotation's minor and row set index,
+    and 64 bytes of scan scratch (the running best, the sort order and
+    keys); besides, one LAPACK chunk's submatrices, twice.
+    """
+    size = 2 * half_degree
+    n_supports = math.comb(2 * n_modes, size)
+    best_bytes = np.min_scalar_type(math.comb(n_modes, half_degree) - 1).itemsize
+    per_support = size + n_matrices * (8 + best_bytes) + 64
+    return n_supports * per_support + 2 * min(n_supports, _DET_CHUNK) * size * size * 8
+
+
+def _check_footprint(n_modes: int, half_degree: int, n_matrices: int) -> None:
+    """Raise ``ValueError`` before a scan whose footprint would pass physical memory."""
+    need, have = _scan_footprint(n_modes, half_degree, n_matrices), _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"the degree-{2 * half_degree} minor table of {n_matrices} rotation(s) on {n_modes} modes "
+            f"needs about {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of physical memory"
+        )
+
+
 def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     """The :class:`MinorTable` of ``arrays`` over every size-2k support.
 
@@ -826,8 +860,9 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     argmax over the block: a support no row set matches keeps row set 0
     and minor ``0.0``.  Off LAPACK the minors agree with LAPACK's to
     rounding (about 1e-16), not bit for bit.  The index sets are built
-    once per ``(n, k)`` and process.
+    once per ``(n, k)`` and process, after :func:`_check_footprint`.
     """
+    _check_footprint(n_modes, half_degree, len(arrays))
     sets = _index_sets(n_modes, half_degree)
     best = np.zeros((len(arrays), len(sets.cols)), dtype=sets.best_dtype)
     minors = np.zeros(best.shape)
@@ -876,6 +911,7 @@ def degree2k_ensemble(
         n_matrices = 4 * half_degree + 1
     if seed is None:
         raise ValueError("seed is mandatory for the randomized construction")
+    _check_footprint(n_modes, half_degree, n_matrices)
     # counter-based generator for bit-reproducible ensembles across platforms
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     partition, blocks, _, pi, o1, min_entry, within = _base_rotation(n_modes)

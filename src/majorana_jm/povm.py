@@ -5,7 +5,9 @@ The dense effect oracle evaluates
     G(q, x) = 2^(-3n) (1 + sum_k sum_R q_R sum_S x_S det(O_{R,S}) gamma_S)
 
 with q in {+-1}^n the computational outcomes and x in {+-1}^(2n) the sign
-string equivalent to the sampled conjugation monomial.  Everything here is
+string equivalent to the sampled conjugation monomial.  :func:`effect_table`
+is the one place these effects are formed; a marginal is the sum of its
+entries that the post-processing maps to one outcome.  Everything here is
 dense and gated to small mode counts; estimation paths never materialize
 these tables, and only these dense oracles import
 :mod:`majorana_jm.algebra`, so a command that reads sharpness loads none
@@ -35,7 +37,6 @@ __all__ = [
     "SharpnessTable",
     "PovmReport",
     "minor_terms",
-    "parent_effect",
     "effect_table",
     "outcome_probabilities",
     "marginal_effect",
@@ -91,36 +92,6 @@ def minor_terms(o_arr: np.ndarray, n_modes: int):
     return terms
 
 
-def _check_oracle_gate(n_modes: int):
-    if n_modes > PARENT_ORACLE_LIMIT:
-        raise ValueError(
-            f"dense parent oracle gated to n <= {PARENT_ORACLE_LIMIT}"
-        )
-
-
-def parent_effect(o_arr, q, conj_subset, n_modes: int) -> np.ndarray:
-    """Dense effect ``G(q, X)`` for one outcome of the parent POVM.
-
-    ``q`` holds the n computational outcomes (+-1), ``conj_subset`` is the
-    sampled conjugation monomial as a 1-based index iterable or bitmask.
-    """
-    from majorana_jm.algebra import canonical_monomial, commutation_sign, dense_matrix, indices_to_support
-
-    _check_oracle_gate(n_modes)
-    arr = np.asarray(o_arr, dtype=float)
-    mask = conj_subset if isinstance(conj_subset, int) else indices_to_support(
-        conj_subset, n_modes
-    )
-    q = np.asarray(q, dtype=np.int64)
-    dim = 2 ** n_modes
-    acc = np.eye(dim, dtype=complex)
-    for rows, cols, det in minor_terms(arr, n_modes):
-        q_r = int(np.prod(q[[(v - 1) // 2 for v in rows[::2]]]))
-        x_s = commutation_sign(mask, cols)
-        acc = acc + (q_r * x_s * det) * dense_matrix(canonical_monomial(n_modes, cols))
-    return acc / 2 ** (3 * n_modes)
-
-
 def _sign_grids(o_arr, n_modes):
     """Per-term outcome sign tables over the q-grid and the x-grid.
 
@@ -173,7 +144,8 @@ def outcome_probabilities(o_arr, state_density: np.ndarray, n_modes: int) -> np.
     """
     from majorana_jm.algebra import canonical_monomial, monomial_trace
 
-    _check_oracle_gate(n_modes)
+    if n_modes > PARENT_ORACLE_LIMIT:
+        raise ValueError(f"dense parent oracle gated to n <= {PARENT_ORACLE_LIMIT}")
     terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(o_arr, n_modes)
     weights = np.array([t[2] for t in terms])
     # tr(gamma_S rho) from the monomial action, once per distinct support
@@ -187,59 +159,35 @@ def outcome_probabilities(o_arr, state_density: np.ndarray, n_modes: int) -> np.
     return table / 2 ** (3 * n_modes)
 
 
+def _marginal(table, rows, cols, det, outcome: int) -> np.ndarray:
+    """Sum of the table's effects ``G(q, x)`` whose outcome ``tau x_S q_R`` is ``outcome``.
+
+    ``table`` is :func:`effect_table`'s result; ``tau`` is the sign of
+    ``det``, and +1 for a zero minor (``|det| <= 1e-14``, the
+    :func:`minor_terms` cut).
+    """
+    (q_grid, x_grid), effects = table
+    tau = -1 if det < -1e-14 else 1
+    q_r = np.prod(q_grid[:, [(v - 1) // 2 for v in rows[::2]]], axis=1)
+    x_s = np.prod(x_grid[:, [c - 1 for c in cols]], axis=1)
+    return effects[tau * np.multiply.outer(x_s, q_r) == outcome].sum(axis=0)
+
+
 def marginal_effect(o_arr, rows, cols, outcome: int, n_modes: int) -> np.ndarray:
     """Post-processed marginal of the parent for observable ``cols`` via ``rows``.
 
-    Performs the literal sum of ``G(q, x)`` over all outcomes mapped to
-    ``outcome`` by ``sign(det(O_{R,S})) x_S q_R``; the grouped q/x sign sums
-    keep the enumeration tractable.  Equals ``(1 + outcome*|det| gamma_S)/2``.
+    The literal sum of :func:`effect_table`'s ``G(q, x)`` over all outcomes
+    mapped to ``outcome`` by ``sign(det(O_{R,S})) x_S q_R``.  Equals
+    ``(1 + outcome*|det| gamma_S)/2``.
     """
-    from majorana_jm.algebra import canonical_monomial, dense_matrix
+    from majorana_jm.gaussian import submatrix_det
 
-    _check_oracle_gate(n_modes)
     arr = np.asarray(o_arr, dtype=float)
     rows = tuple(sorted(rows))
     cols = tuple(sorted(cols))
     if rows not in diag_index_sets(n_modes, len(rows) // 2):
         raise ValueError("rows must be a union of standard pairs")
-    terms, q_grid, x_grid, q_signs, x_signs = _sign_grids(arr, n_modes)
-    try:
-        star = next(
-            m for m, (r, c, _) in enumerate(terms) if r == rows and c == cols
-        )
-        tau = 1.0 if terms[star][2] > 0 else -1.0
-    except StopIteration:
-        star = None
-        tau = 1.0  # zero minor: the post-processing map is a fair coin
-    dim = 2 ** n_modes
-    total = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    q_star = (
-        q_signs[:, star]
-        if star is not None
-        else np.prod(q_grid[:, [(v - 1) // 2 for v in rows[::2]]], axis=1)
-    )
-    x_star = (
-        x_signs[:, star]
-        if star is not None
-        else np.prod(x_grid[:, [c - 1 for c in cols]], axis=1)
-    )
-    weights = np.array([t[2] for t in terms])
-    mats = np.stack(
-        [dense_matrix(canonical_monomial(n_modes, c)) for _, c, _ in terms]
-    )
-    for a in (1, -1):
-        for b in (1, -1):
-            if tau * a * b != outcome:
-                continue
-            sel_q = q_star == a
-            sel_x = x_star == b
-            count += int(sel_q.sum()) * int(sel_x.sum())
-            sum_q = q_signs[sel_q].sum(axis=0)
-            sum_x = x_signs[sel_x].sum(axis=0)
-            coeffs = weights * sum_q * sum_x
-            total += np.tensordot(coeffs, mats, axes=(0, 0))
-    return (count * np.eye(dim) + total) / 2 ** (3 * n_modes)
+    return _marginal(effect_table(arr, n_modes), rows, cols, submatrix_det(arr, rows, cols), outcome)
 
 
 class SharpnessTable:
@@ -369,29 +317,26 @@ def povm_validate(effects) -> PovmReport:
 def parent_validate(o_arr, n_modes: int, rng=None):
     """Full dense validation of one parent rotation.
 
-    Checks the effect table for positivity and completeness, the partial
-    marginals against the single-R form, and the post-processed binary
-    marginals against ``(1 + e |det| gamma_S)/2``.  Returns a dict of worst
-    residuals.
+    Checks the effect table for positivity and completeness, and the
+    post-processed binary marginals, sums over that one table, against
+    ``(1 + e |det| gamma_S)/2``.  Returns a dict of worst residuals.
     """
     from majorana_jm.algebra import canonical_monomial, dense_matrix
 
     arr = np.asarray(o_arr, dtype=float)
-    _, effects = effect_table(arr, n_modes)
-    flat = effects.reshape(-1, 2 ** n_modes, 2 ** n_modes)
-    report = povm_validate(flat)
+    table = effect_table(arr, n_modes)
+    dim = 2 ** n_modes
+    report = povm_validate(table[1].reshape(-1, dim, dim))
     worst_marginal = 0.0
     rng = rng or np.random.default_rng(0)
     terms = minor_terms(arr, n_modes)
     candidates = [t for t in terms if abs(t[2]) > 1e-12] or terms
     for _ in range(_MARGINAL_CHECKS):
         rows, cols, det = candidates[int(rng.integers(0, len(candidates)))]
+        gamma = dense_matrix(canonical_monomial(n_modes, cols))
         for e in (1, -1):
-            marg = marginal_effect(arr, rows, cols, e, n_modes)
-            target = (
-                np.eye(2 ** n_modes)
-                + e * abs(det) * dense_matrix(canonical_monomial(n_modes, cols))
-            ) / 2.0
+            marg = _marginal(table, rows, cols, det, e)
+            target = (np.eye(dim) + e * abs(det) * gamma) / 2.0
             worst_marginal = max(worst_marginal, float(np.max(np.abs(marg - target))))
     return {
         "completeness_residual": report.completeness_residual,

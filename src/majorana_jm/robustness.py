@@ -364,10 +364,12 @@ def _search(n_modes: int, degree: int, budget: int) -> tuple[float, tuple[int, .
         raise ValueError(
             f"need n >= 1 and degree in 1..2n, got n={n_modes}, degree={degree}"
         )
+    # counted before the supports are listed: at degree <= 2 those holding 1 keep sign +1
+    n_free = math.comb(2 * n_modes - (degree <= 2), degree)
+    if n_free >= 63 or 2 ** n_free > budget:
+        return None
     supports = subsets_of_size(2 * n_modes, degree)
     free = [i for i, s in enumerate(supports) if degree > 2 or 1 not in s]
-    if len(free) >= 63 or 2 ** len(free) > budget:
-        return None
     if degree == 2:
         size = 2 * n_modes
         terms = np.zeros((len(supports), size, size), dtype=complex)

@@ -28,8 +28,8 @@ class TestMatrixText:
     def test_file_round_trip(self, tmp_path):
         arr = degree2_ensemble(3).matrices[0].entries
         path = tmp_path / "m.txt"
-        io.write_matrix_text(path, arr)
-        assert np.array_equal(io.read_matrix_text(path), arr)
+        path.write_text(io.matrix_to_text(arr))
+        assert np.array_equal(io.matrix_from_text(path.read_text()), arr)
 
 
 class TestEnsembleArchive:
@@ -161,6 +161,20 @@ class TestCoverageAndSharpnessCsv:
             '"[2,3]",1,"[1,2]",0.28232123669751763,0.28232123669751763,0.28232123669751763\n'
             '"[2,4]",0,[],0,0,0\n'
             '"[3,4]",1,"[3,4]",0.91266780745483911,0.91266780745483911,0.91266780745483911\n'
+        )
+
+
+    def test_comparison_exact_text_with_blank_fields(self):
+        rows = [
+            {"n": 2, "k": 2, "eta_construction": None, "eta_ternary": 0.1,
+             "shadow_jm_bound": 1 / 3, "ho_bound": None, "thm2_upper": 0.5},
+            {"n": 3, "k": 1, "eta_construction": 0.5, "eta_ternary": 1.0,
+             "shadow_jm_bound": 0.2, "ho_bound": 0.25, "thm2_upper": 2 ** -0.5},
+        ]
+        assert io.comparison_csv(rows) == (
+            "n,k,eta_construction,eta_ternary,shadow_jm_bound,ho_bound,thm2_upper\n"
+            "2,2,,0.10000000000000001,0.33333333333333331,,0.5\n"
+            "3,1,0.5,1,0.20000000000000001,0.25,0.70710678118654757\n"
         )
 
 
@@ -420,6 +434,7 @@ class TestCli:
             ({"terms": [[[1, 99], 0.5]]}, "index 99 outside 1..4"),
             ({"terms": [[[1, 1], 0.5]]}, "repeated index 1"),
             ({"term": [[[1, 2], 0.5]]}, "--hamiltonian needs a JSON object with a 'terms' list"),
+            ({"terms": [[[], 1.0]]}, "target gamma[] needs an even degree of at least 2"),
         ],
     )
     def test_estimate_rejects_bad_hamiltonian_terms(self, tmp_path, capsys, ham, message):
@@ -438,6 +453,42 @@ class TestCli:
         assert code == 4
         captured = capsys.readouterr()
         assert captured.out == "" and f"invalid input: {message}" in captured.err
+
+    @pytest.mark.parametrize("target", ["gamma[]", "gamma[1]"])
+    def test_estimate_rejects_bad_target_degree(self, tmp_path, capsys, target):
+        # only degrees 2, 4, ... have a sharpness; the message names the target, not a KeyError
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        capsys.readouterr()
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--targets", target, "--shots", "0",
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: target {target} needs an even degree of at least 2\n"
+
+    @pytest.mark.parametrize("shots", ["0", "200"])
+    def test_estimate_empty_hamiltonian_is_float_zero(self, tmp_path, capsys, shots):
+        # a Hamiltonian with no terms reads 0.0 in both modes, a float like every estimate
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        ham_path = tmp_path / "ham.json"
+        ham_path.write_text(json.dumps({"terms": []}))
+        capsys.readouterr()
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--hamiltonian", str(ham_path), "--shots", shots, "--seed", "3",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"estimate": 0.0,' in out
+        assert json.loads(out)["hamiltonian"]["estimate"] == 0.0
 
     def test_sharpness_out_equals_library_csv(self, tmp_path, capsys):
         # the command streams its CSV block by block (1,128 supports: two blocks);
@@ -509,6 +560,26 @@ class TestCli:
             assert all(a > b for a, b in zip(values, values[1:]))
         ternary = [float(r[3]) for r in rows]
         assert all(a >= b for a, b in zip(ternary, ternary[1:]))
+
+    def test_tables_past_physical_memory_are_refused(self, tmp_path, capsys, monkeypatch):
+        # construct exits 4 naming the footprint, compare leaves the cell blank and
+        # robustness reports no construction bound; no support is ever enumerated
+        from majorana_jm import algebra, matching
+
+        monkeypatch.setattr(matching, "_physical_memory", lambda: 10**5)
+        monkeypatch.setattr(matching, "_index_sets", lambda *a: pytest.fail("supports enumerated"))
+        assert self.run("construct", "--n", "28", "--k", "4", "--seed", "1", "--out", str(tmp_path / "e.zip")) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "invalid input: the degree-8 minor table of 17 rotation(s) on 28 modes needs about 344 GB, "
+            "more than the 0.0001 GB of physical memory\n"
+        )
+        for k in ("1", "4"):
+            assert self.run("compare", "--n-range", "28:28", "--k", k) == 0
+            assert capsys.readouterr().out.splitlines()[1].startswith(f"28,{k},,")
+        monkeypatch.setattr(algebra, "subsets_of_size", lambda *a: pytest.fail("supports listed"))
+        assert self.run("robustness", "--n", "28", "--k", "8", "--budget", "0") == 0
+        assert json.loads(capsys.readouterr().out)["bounds"]["construction_lower"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         ens = tmp_path / "ens.zip"

@@ -482,6 +482,14 @@ class TestMinorDets:
         for half in (2, 3):
             _assert_same_reductions(scan_minors([arr], 6, half).per_matrix, whole[half])
 
+    def test_lapack_chunks_match_one_chunk(self, monkeypatch):
+        # a dense rotation's groups split over several LAPACK calls give the same bits
+        arr = random_orthogonal(10, np.random.default_rng(5)).entries
+        whole = {half: scan_minors([arr], 5, half).per_matrix for half in (1, 2)}
+        monkeypatch.setattr(matching, "_DET_CHUNK", 7)
+        for half in (1, 2):
+            _assert_same_reductions(scan_minors([arr], 5, half).per_matrix, whole[half])
+
     def test_block_kernel_runs_where_the_tables_pay(self, monkeypatch):
         # a matrix of several small components is read off its tables;
         # one component, or tables past the limit, go to LAPACK
@@ -766,3 +774,36 @@ class TestPartitionCombinatorics:
                 bound = math.comb(two_n, 2 * k) * partition_failure_prob(side, k) ** n_parts
                 ratio = bound / side ** (4 * k - n_parts)
                 assert ratio <= limit * 1.01
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "n, half, kind",
+        [(10, 2, "degree2k"), (10, 2, "random"), (12, 3, "degree2"), (8, 3, "random")],
+    )
+    def test_estimate_covers_traced_peak(self, n, half, kind):
+        # the refusal compares an estimate that is at least what the scan allocates,
+        # its index sets included
+        rng = np.random.default_rng(n)
+        arrays = {
+            "degree2k": lambda: degree2k_ensemble(n, half, seed=1).arrays(),
+            "degree2": lambda: degree2_ensemble(n).arrays(),
+            "random": lambda: [random_orthogonal(2 * n, rng).entries for _ in range(3)],
+        }[kind]()
+        matching._index_sets.cache_clear()
+        assert _scan_peak(arrays, n, half) <= matching._scan_footprint(n, half, len(arrays))
+
+    def test_refuses_before_allocating(self, monkeypatch):
+        # the scan and the construction both refuse before any support is enumerated
+        arrays = degree2_ensemble(6).arrays()
+        need = matching._scan_footprint(6, 2, 2)
+        index_sets = matching._index_sets
+        monkeypatch.setattr(matching, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(matching, "_index_sets", lambda *a: pytest.fail("index sets built"))
+        with pytest.raises(ValueError, match=r"degree-4 minor table of 2 rotation\(s\) on 6 modes needs about"):
+            scan_minors(arrays, 6, 2)
+        with pytest.raises(ValueError, match="of physical memory"):
+            degree2k_ensemble(6, 2, seed=1)
+        monkeypatch.setattr(matching, "_index_sets", index_sets)
+        monkeypatch.setattr(matching, "_physical_memory", lambda: need)
+        assert scan_minors(arrays, 6, 2).per_matrix[1].shape == (2, math.comb(12, 4))

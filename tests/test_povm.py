@@ -14,7 +14,6 @@ from majorana_jm.povm import (
     degree1_parent_effect,
     effect_table,
     marginal_effect,
-    parent_effect,
     parent_validate,
     povm_validate,
     sharpness_table,
@@ -26,16 +25,15 @@ from majorana_jm.povm import (
 
 class TestParentEffect:
     def test_identity_rotation_trace(self):
-        eff = parent_effect(np.eye(6), [1, -1, 1], [1, 2], 3)
-        assert np.trace(eff).real == pytest.approx(2 ** 3 / 2 ** 9, abs=1e-15)
+        _, effects = effect_table(np.eye(6), 3)
+        traces = np.trace(effects, axis1=2, axis2=3).real
+        assert np.max(np.abs(traces - 2 ** 3 / 2 ** 9)) < 1e-15
 
     def test_n1_identity_eight_effects_sum_to_identity(self):
-        effs = []
-        for q in (1, -1):
-            for mask in range(4):
-                effs.append(parent_effect(np.eye(2), [q], mask, 1))
+        _, effects = effect_table(np.eye(2), 1)
+        effs = effects.reshape(-1, 2, 2)
         assert len(effs) == 8
-        assert np.max(np.abs(sum(effs) - np.eye(2))) < 1e-14
+        assert np.max(np.abs(effs.sum(axis=0) - np.eye(2))) < 1e-14
 
     def test_n2_psd_for_structured_rotation(self):
         ens = degree2_ensemble(2)
@@ -55,7 +53,9 @@ class TestParentEffect:
 
     def test_oracle_gate(self):
         with pytest.raises(ValueError):
-            parent_effect(np.eye(12), [1] * 6, 0, 6)
+            effect_table(np.eye(10), 5)
+        with pytest.raises(ValueError):
+            marginal_effect(np.eye(10), (1, 2), (1, 2), 1, 5)
 
 
 class TestMarginalEffect:
