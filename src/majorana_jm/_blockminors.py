@@ -1,19 +1,18 @@
 """Minors of degree 2k >= 4 as products of the minors of a rotation's components.
 
-Where a row set ``R`` and a support ``S`` meet every connected component
-of the rotation's nonzero pattern equally often (``matching._group_bounds``
-pairs exactly those), ordering both by component makes ``O[R, S]`` block
-diagonal, so
+The minor scan hands each chunk of (row set, support) pairs of
+``matching._pair_chunks`` to an evaluator ``dets(i, j)``: LAPACK, or the
+one :func:`grouped_minors` builds here.  Those pairs meet every connected
+component of the rotation's nonzero pattern equally often, so ordering
+both by component makes ``O[R, S]`` block diagonal and
 
     det O[R, S] = s_R s_S prod_c det O[R & c, S & c],
 
 with ``s_R`` and ``s_S`` the parities of the inversions of R's and S's
 component sequences.  Each component's minors of every size up to 2k are
-tabulated once per rotation, indexed by local row and column bitmask, and
-each grouped minor is the product of one gather of its factors, the sign
-among them.
-:func:`majorana_jm.matching.scan_minors` imports this module for its
-``2k >= 4`` scans only, so no other command compiles it.
+tabulated once per rotation, indexed by local row and column bitmask;
+a minor is the product of one gather of its factors, the sign among them.
+Only ``2k >= 4`` scans import this module.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ import itertools
 
 import numpy as np
 
-from majorana_jm.matching import _components, _odd_inversions, _pair_chunks
-
-# (R, S) pairs evaluated at once
-_PAIR_CHUNK = 1 << 14
+from majorana_jm.matching import _components, _odd_inversions
 # table entries of one rotation (16 MB); a rotation whose tables would pass it goes through LAPACK
 _TABLE_LIMIT = 1 << 21
 
@@ -59,15 +55,15 @@ def _minor_table(block: np.ndarray, size: int) -> np.ndarray:
     return table
 
 
-def grouped_minors(arr: np.ndarray, sets, bounds):
-    """``(i, j, dets)`` chunks of every minor of ``arr`` that the grouping ``bounds`` allows.
+def grouped_minors(arr: np.ndarray, sets):
+    """The evaluator ``dets(i, j)`` of row sets ``i`` and supports ``j`` off the component tables.
 
-    ``sets`` is the ``matching._IndexSets`` of the scan and ``bounds`` the
-    result of ``matching._group_bounds``; the pairs come in the chunks of
-    ``matching._pair_chunks``.  Returns ``None`` where the tables do not
-    pay and LAPACK should run instead: a matrix of one component (a dense
-    rotation), or components whose tables would pass ``_TABLE_LIMIT``
-    entries.
+    ``sets`` is the ``matching._IndexSets`` of the scan; every pair that
+    ``dets`` gets must meet the components equally, as those of
+    ``matching._pair_chunks`` do.  Returns ``None`` where the tables do
+    not pay and LAPACK should run instead: a matrix of one component (a
+    dense rotation), or components whose tables would pass
+    ``_TABLE_LIMIT`` entries.
     """
     row_lab, col_lab = _components(arr)
     labels = sorted(set(row_lab.tolist()) & set(col_lab.tolist()))
@@ -98,15 +94,15 @@ def grouped_minors(arr: np.ndarray, sets, bounds):
     for column in sets.cols.T:
         col_parts += np.take(col_bits, column, axis=0)
     col_parts[:, -1] = _odd_inversions(col_comp[sets.cols])
-    return _chunks(np.concatenate(tables), row_parts, col_parts, bounds)
+    flat = np.concatenate(tables)
 
-
-def _chunks(flat, row_parts, col_parts, bounds):
-    for i, j in _pair_chunks(bounds, _PAIR_CHUNK):
+    def dets(i, j):
         # row gathers, faster than row_parts[i]
         factors = flat[np.take(row_parts, i, axis=0) + np.take(col_parts, j, axis=0)]
-        dets = factors[:, 0] * factors[:, 1]
+        out = factors[:, 0] * factors[:, 1]
         for c in range(2, factors.shape[1]):
-            dets *= factors[:, c]
-        dets += 0.0  # a -0.0 product is a structural zero: make it +0.0
-        yield i, j, dets
+            out *= factors[:, c]
+        out += 0.0  # a -0.0 product is a structural zero: make it +0.0
+        return out
+
+    return dets

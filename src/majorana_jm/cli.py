@@ -122,6 +122,8 @@ def _cmd_construct(args):
     if args.out is None:
         raise ValueError("construct requires --out for the archive")
     if args.k == 1:
+        if args.N is not None:
+            raise ValueError("--N applies to k >= 2 only: the degree-2 ensemble has 2 rotations")
         ensemble = degree2_ensemble(args.n)
     else:
         _require_seed(args)

@@ -62,8 +62,8 @@ __all__ = [
 COVERAGE_TOL = 1e-12
 # candidate resamples before the degree-2k construction gives up
 _MAX_RETRIES = 200
-# supports per LAPACK call of the minor scan (4.7 MB of 6x6 submatrices)
-_DET_CHUNK = 1 << 14
+# (row set, support) pairs evaluated at once (4.7 MB of 6x6 submatrices on LAPACK)
+_PAIR_CHUNK = 1 << 14
 
 
 class CoverageError(RuntimeError):
@@ -350,34 +350,28 @@ def _group_bounds(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return order, lo, hi, row_keys
 
 
-def _minor_groups(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, bounds):
-    """Yield ``(i, match, dets)`` per row set ``i``: the supports whose minor can be nonzero.
+def _lapack_minors(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The evaluator ``dets(i, j)``: ``det(arr[rows[i], cols[j]])`` pair by pair, one ``np.linalg.det`` call.
 
-    ``match`` holds a chunk of at most ``_DET_CHUNK`` of the row set's
-    group of support indices from ``bounds``, the result of
-    :func:`_group_bounds`, ascending, and ``dets`` their minors, one
-    ``np.linalg.det`` call per chunk.  The chunks bound the gathered
-    submatrices: a dense rotation puts every support in every group.
+    LAPACK factors each submatrix on its own, so a minor's bits do not
+    depend on the chunk it comes in.
     """
-    order, lo, hi, _ = bounds
     # gathers with intp indices run about twice as fast as with the cached uint8 ones
-    for i, (r, a, b) in enumerate(zip(rows.astype(np.intp), lo.tolist(), hi.tolist())):
-        for start in range(a, b, _DET_CHUNK):
-            match = order[start : min(start + _DET_CHUNK, b)]
-            picked = cols[match].astype(np.intp)
-            yield i, match, np.linalg.det(arr[r[None, :, None], picked[:, None, :]])
+    rows = rows.astype(np.intp)
+    return lambda i, j: np.linalg.det(arr[rows[i][:, :, None], cols[j].astype(np.intp)[:, None, :]])
 
 
 def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Signed ``det(arr[R, S])`` for the 0-based index sets ``R`` in ``rows``, ``S`` in ``cols``.
 
-    The dense ``(len(rows), len(cols))`` block: the minors that
-    :func:`_minor_groups` evaluates through LAPACK, and exactly ``0.0``
+    The dense ``(len(rows), len(cols))`` block: the minors of the pairs
+    that :func:`_group_bounds` allows, through LAPACK, and exactly ``0.0``
     everywhere else.
     """
     out = np.zeros((len(rows), len(cols)))
-    for i, match, dets in _minor_groups(arr, rows, cols, _group_bounds(arr, rows, cols)):
-        out[i, match] = dets
+    dets = _lapack_minors(arr, rows, cols)
+    for i, j in _pair_chunks(_group_bounds(arr, rows, cols), _PAIR_CHUNK):
+        out[i, j] = dets(i, j)
     return out
 
 
@@ -410,7 +404,7 @@ class MinorTable:
         self.half_degree = sets.half_degree
         self.cols = sets.cols
         self.row_sets = sets.row_sets
-        self.index = _SupportRank(2 * sets.n_modes, 2 * sets.half_degree)
+        self.index = sets.index
         self.per_matrix = (best, minors)
 
     @cached_property
@@ -699,7 +693,7 @@ class _IndexSets:
     Every :class:`MinorTable` of that ``(n, k)`` shares them.  The supports
     are kept only as the ``(nS, 2k)`` array ``cols``; the few row sets are
     also kept as 1-based tuples.  ``best_dtype`` is the smallest unsigned
-    type that holds a row set index.
+    type that holds a row set index, and ``index`` ranks a support.
     """
 
     def __init__(self, n_modes: int, half_degree: int):
@@ -709,6 +703,7 @@ class _IndexSets:
         self.row_sets = tuple(diag_index_sets(n_modes, half_degree))
         self.rows = (np.array(self.row_sets) - 1).astype(self.cols.dtype)
         self.best_dtype = np.min_scalar_type(len(self.row_sets) - 1)
+        self.index = _SupportRank(2 * n_modes, 2 * half_degree)
 
 
 @functools.lru_cache(maxsize=4)
@@ -772,7 +767,7 @@ def _odd_inversions(labels: np.ndarray) -> np.ndarray:
 def _image_ranks(sets: _IndexSets, perm: np.ndarray) -> np.ndarray:
     """Per support ``S``: the position of its image ``sorted(perm[S])`` among the supports."""
     images = np.sort(perm.astype(sets.cols.dtype)[sets.cols], axis=1)
-    return _SupportRank(2 * sets.n_modes, 2 * sets.half_degree).of_rows(images)
+    return sets.index.of_rows(images)
 
 
 def _permuted_row(sets: _IndexSets, best: np.ndarray, minors: np.ndarray, perm: np.ndarray):
@@ -797,20 +792,19 @@ def _scan_rotation(arr: np.ndarray, sets: _IndexSets, best: np.ndarray, minors: 
     order, lo, hi, _ = bounds
     top = np.zeros(len(sets.cols))  # the running best rounded |det|
     top[order[lo[0] : hi[0]]] = -1.0  # row set 0 assigns its whole group
-    chunks = None
-    if sets.half_degree > 1:
+    dets = _lapack_minors(arr, sets.rows, sets.cols)
+    if sets.half_degree > 1:  # at 2k = 2 the tables would move LAPACK's last bits
         from majorana_jm import _blockminors
 
-        chunks = _blockminors.grouped_minors(arr, sets, bounds)
-    if chunks is None:
-        chunks = _minor_groups(arr, sets.rows, sets.cols, bounds)
-    for i, match, dets in chunks:
-        vals = np.abs(np.round(dets, 12))
-        won = vals > top[match]
-        at = match[won]
+        dets = _blockminors.grouped_minors(arr, sets) or dets
+    for i, j in _pair_chunks(bounds, _PAIR_CHUNK):
+        chunk = dets(i, j)
+        vals = np.abs(np.round(chunk, 12))
+        won = vals > top[j]
+        at = j[won]
         top[at] = vals[won]
-        best[at] = i if isinstance(i, int) else i[won]
-        minors[at] = dets[won]
+        best[at] = i[won]
+        minors[at] = chunk[won]
 
 
 def _physical_memory() -> int:
@@ -828,7 +822,7 @@ def _scan_footprint(n_modes: int, half_degree: int, n_matrices: int) -> int:
     n_supports = math.comb(2 * n_modes, size)
     best_bytes = np.min_scalar_type(math.comb(n_modes, half_degree) - 1).itemsize
     per_support = size + n_matrices * (8 + best_bytes) + 64
-    return n_supports * per_support + 2 * min(n_supports, _DET_CHUNK) * size * size * 8
+    return n_supports * per_support + 2 * min(n_supports, _PAIR_CHUNK) * size * size * 8
 
 
 def _check_footprint(n_modes: int, half_degree: int, n_matrices: int) -> None:
@@ -849,12 +843,10 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     columns permuted takes the base's row, relabelled and signed
     (:func:`_permuted_row`); any other becomes the base and goes through a
     kernel, so a constructed ensemble runs one kernel in all.  The kernel
-    reduces a rotation's nonzero minors chunk by chunk straight into its
-    ``(best, minors)`` row, so no ``(C(n,k), C(2n,2k))`` block is held.
-    At ``2k = 2`` they come one row set's group at a time from
-    :func:`_minor_groups` (LAPACK); at ``2k >= 4`` as products of the
-    minors of the rotation's components (:mod:`majorana_jm._blockminors`),
-    or from LAPACK where the rotation is one component.  Row set 0 assigns
+    reduces the chunks of :func:`_pair_chunks` straight into the row, so
+    no ``(C(n,k), C(2n,2k))`` block is held; a chunk's minors come from
+    LAPACK (:func:`_lapack_minors`) or, at ``2k >= 4`` on several
+    components, from :mod:`majorana_jm._blockminors`.  Row set 0 assigns
     its group; a later row set replaces an entry only when its ``|det|``
     rounded to 12 decimals is strictly larger.  That is the first-wins
     argmax over the block: a support no row set matches keeps row set 0
@@ -909,6 +901,8 @@ def degree2k_ensemble(
         )
     if n_matrices is None:
         n_matrices = 4 * half_degree + 1
+    if n_matrices < 1:
+        raise ValueError(f"need N >= 1 rotations, got N = {n_matrices}")
     if seed is None:
         raise ValueError("seed is mandatory for the randomized construction")
     _check_footprint(n_modes, half_degree, n_matrices)

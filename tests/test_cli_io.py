@@ -235,6 +235,22 @@ class TestCli:
         code = self.run("construct", "--n", "6", "--k", "2", "--out", str(tmp_path / "x.zip"))
         assert code == 4
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_construct_rejects_no_rotations(self, tmp_path, capsys, count):
+        code = self.run(
+            "construct", "--n", "7", "--k", "2", "--N", count, "--seed", "1",
+            "--out", str(tmp_path / "x.zip"),
+        )
+        assert code == 4
+        assert capsys.readouterr().err == f"invalid input: need N >= 1 rotations, got N = {count}\n"
+        assert not (tmp_path / "x.zip").exists()
+
+    def test_construct_refuses_rotation_count_at_k1(self, tmp_path, capsys):
+        code = self.run("construct", "--n", "4", "--k", "1", "--N", "3", "--out", str(tmp_path / "x.zip"))
+        assert code == 4
+        assert "--N applies to k >= 2 only" in capsys.readouterr().err
+        assert not (tmp_path / "x.zip").exists()
+
     def test_validate_and_sharpness(self, tmp_path, capsys):
         out = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(out)) == 0

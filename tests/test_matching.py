@@ -474,21 +474,15 @@ class TestMinorDets:
         if kind == "random":
             assert np.array_equal(got[1].view(np.int64), _argmax_scan(arrays, n, 3)[1].view(np.int64))
 
-    def test_block_kernel_chunks_match_one_chunk(self, monkeypatch):
-        # the layers run over several chunks of a few pairs, at 2k = 4 and 6
-        arr = _several_blocks(6, np.random.default_rng(3))
-        whole = {half: scan_minors([arr], 6, half).per_matrix for half in (2, 3)}
-        monkeypatch.setattr(_blockminors, "_PAIR_CHUNK", 7)
-        for half in (2, 3):
-            _assert_same_reductions(scan_minors([arr], 6, half).per_matrix, whole[half])
-
-    def test_lapack_chunks_match_one_chunk(self, monkeypatch):
-        # a dense rotation's groups split over several LAPACK calls give the same bits
-        arr = random_orthogonal(10, np.random.default_rng(5)).entries
-        whole = {half: scan_minors([arr], 5, half).per_matrix for half in (1, 2)}
-        monkeypatch.setattr(matching, "_DET_CHUNK", 7)
-        for half in (1, 2):
-            _assert_same_reductions(scan_minors([arr], 5, half).per_matrix, whole[half])
+    @pytest.mark.parametrize("kind, n, half", [("blocks", 6, 2), ("blocks", 6, 3), ("dense", 5, 1), ("dense", 5, 2)])
+    def test_chunks_match_one_chunk(self, monkeypatch, kind, n, half):
+        # the layers split over many chunks of a few pairs give the same bits,
+        # on the block kernel (several blocks) and on LAPACK (a dense rotation)
+        rng = np.random.default_rng(3)
+        arr = _several_blocks(n, rng) if kind == "blocks" else random_orthogonal(2 * n, rng).entries
+        whole = scan_minors([arr], n, half).per_matrix
+        monkeypatch.setattr(matching, "_PAIR_CHUNK", 7)
+        _assert_same_reductions(scan_minors([arr], n, half).per_matrix, whole)
 
     def test_block_kernel_runs_where_the_tables_pay(self, monkeypatch):
         # a matrix of several small components is read off its tables;
@@ -537,27 +531,20 @@ class TestMinorDets:
         # set and support pairs meet its blocks equally, and the block
         # kernel reads them; a dense rotation is one block and goes through
         # every minor on LAPACK
-        counted = []
         if kind == "degree2k":
             arr = degree2k_ensemble(10, 2, seed=1).arrays()[0]
-            pairs = _blockminors._pair_chunks
-
-            def counting(bounds, chunk):
-                for i, j in pairs(bounds, chunk):
-                    counted.append(len(i))
-                    yield i, j
-
-            monkeypatch.setattr(_blockminors, "_pair_chunks", counting)
         else:
             arr = random_orthogonal(20, np.random.default_rng(1)).entries
-            groups = matching._minor_groups
+        counted = []
+        pairs = matching._pair_chunks
 
-            def counting(*args):
-                for i, match, dets in groups(*args):
-                    counted.append(len(match))
-                    yield i, match, dets
+        def counting(bounds, chunk):
+            for i, j in pairs(bounds, chunk):
+                counted.append(len(i))
+                yield i, j
 
-            monkeypatch.setattr(matching, "_minor_groups", counting)
+        # after the construction, which scans too
+        monkeypatch.setattr(matching, "_pair_chunks", counting)
         scan_minors([arr], 10, 2)
         share = sum(counted) / (math.comb(10, 2) * math.comb(20, 4))
         if kind == "degree2k":
