@@ -231,13 +231,17 @@ def _parse_targets(text, n_modes):
 
     from majorana_jm.algebra import monomial_from_str
 
-    tokens = re.findall(r"gamma\[[^\]]*\]", text)
-    residue = re.sub(r"gamma\[[^\]]*\]", "", text).replace(",", "").strip()
-    if not tokens or residue:
+    token = r"gamma\[[^\]]*\]"
+    # tokens separated by exactly one comma, with optional space around it
+    if not re.fullmatch(rf"\s*{token}(\s*,\s*{token})*\s*", text):
         raise ValueError(f"cannot parse targets {text!r}")
-    targets = [monomial_from_str(tok, n_modes).indices for tok in tokens]
+    targets = [monomial_from_str(tok, n_modes).indices for tok in re.findall(token, text)]
+    seen = set()
     for target in targets:
         _check_degree(target)
+        if target in seen:
+            raise ValueError(f"duplicate target gamma[{','.join(map(str, target))}]")
+        seen.add(target)
     return targets
 
 

@@ -9,16 +9,19 @@ Shots are grouped by (rotation, monomial) and groups are processed in
 blocks that stay within one rotation.  Monomials are applied matrix-free
 through the closed form of their Jordan-Wigner action
 (``algebra.monomial_bits``, evaluated once per rotation for all its
-groups), a signed permutation of the basis, so a block of about
-``_BLOCK_BYTES`` (64 KB) costs one gather, one parity call and one matrix
-product with a compiled unitary; only one unitary is held at a time.  A
-rotation whose columns are exactly those of the last compiled one, permuted,
-reuses its unitary: the permutation moves onto the masks and, as one
-reflection per transposition, onto the state.  A density matrix is
-diagonalized once and its eigenvectors are evolved like pure states.
-Basis-outcome signs are read off the diagonal of the pair monomials'
-action, never assumed (the pair observable maps to -Z under the chosen
-conventions).
+groups), a signed permutation of the basis.  A Gaussian unitary maps each
+parity sector of the basis onto one sector, so each compile is cut at once
+into its two 2^(n-1) x 2^(n-1) sector blocks and the dense unitary is
+dropped: between compiles the simulator holds 8 4^n bytes.  A block of
+about ``_BLOCK_BYTES`` (128 KB) costs, per sector, one gather from the
+eigen-rows, one sign lookup and one half-size matrix product.  A rotation
+whose columns are exactly those of the last compiled one, permuted, reuses
+its blocks: the permutation moves onto the masks and, as one reflection per
+transposition, onto the state.  A density matrix is diagonalized once and
+its eigenvectors are evolved like pure states.  Each pair observable acts
+as -Z on its qubit under the chosen conventions, so a shot's packed
+outcome signs are the complement of its basis outcome; the tests check
+this against the pair monomials' dense diagonals.
 
 Draws: ``Generator.choice(dim, size, p=p)`` takes ``random(size)`` and
 returns ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum()``
@@ -42,7 +45,6 @@ from majorana_jm.algebra import (
     apply_monomial,
     canonical_monomial,
     indices_to_support,
-    monomial_action,
     monomial_bits,
     monomial_trace,
     parity,
@@ -150,31 +152,20 @@ class ShotBatch:
     n_modes: int
     r: np.ndarray  # (L,) 1-based
     conj_mask: np.ndarray  # (L,) uint64
-    q: np.ndarray  # (L, n) int8
+    q_bits: np.ndarray  # (L,) uint64, bit j = (1 - q_j)/2
 
     def __len__(self) -> int:
         return len(self.r)
 
     @property
-    def q_bits(self) -> np.ndarray:
-        """Basis outcomes packed as (L,) uint64 masks, bit j = (1 - q_j)/2."""
-        bits = np.zeros(len(self.q), dtype=np.uint64)
-        for j in range(self.n_modes):  # one column at a time, not an (L, n) uint64 block
-            bits |= (self.q[:, j] < 0).astype(np.uint64) << np.uint64(j)
-        return bits
-
-
-def _pair_sign_table(n_modes: int) -> np.ndarray:
-    """diag of the n pair observables on the computational basis, (n, 2^n)."""
-    table = np.empty((n_modes, 2 ** n_modes), dtype=np.int8)
-    for j in range(n_modes):
-        _, d = monomial_action(canonical_monomial(n_modes, [2 * j + 1, 2 * j + 2]))
-        table[j] = np.rint(np.real(d)).astype(np.int8)
-    return table
+    def q(self) -> np.ndarray:
+        """Pair-observable outcomes ``q_j = 1 - 2 bit_j``, unpacked from ``q_bits`` as (L, n) int8."""
+        bits = self.q_bits[:, None] >> np.arange(self.n_modes, dtype=np.uint64) & np.uint64(1)
+        return 1 - 2 * bits.astype(np.int8)
 
 
 # Working memory of one block of conjugated vectors ``gamma_X v_j`` (complex).
-_BLOCK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 17
 
 
 def _eigenstates(state: FermionicState) -> tuple[np.ndarray, np.ndarray]:
@@ -214,19 +205,42 @@ def _conjugated(rows: np.ndarray, flip, phase, zmask) -> np.ndarray:
     return phase[:, None] * parity(source & zmask[:, None]) * rows[:, source]
 
 
-def _born_cdfs(unitary, weights, rows, flip, phase, zmask) -> np.ndarray:
+def _sector_blocks(unitary: np.ndarray, odd: bool) -> list:
+    """The compiled unitary cut into its two parity-sector blocks ``(source, target, block)``.
+
+    A Gaussian unitary maps each parity sector of the basis onto one sector:
+    onto itself, or onto the other when ``odd`` (det O = -1, the extra
+    ``gamma_2n``).  So ``amplitudes[:, target] = vectors[:, source] @ block``
+    with ``block = U[target, source].T``, each 2^(n-1) x 2^(n-1): both hold
+    half the dense unitary's bytes.
+    """
+    parities = np.bitwise_count(np.arange(len(unitary))) & 1
+    sectors = [np.flatnonzero(parities == p) for p in (0, 1)]
+    return [(s, t, unitary.T[np.ix_(s, t)]) for s, t in zip(sectors, sectors[::-1] if odd else sectors)]
+
+
+def _born_cdfs(blocks, signs, weights, rows, flip, zmask) -> np.ndarray:
     """Cumulative Born distributions of one block of groups under one rotation, ``(G, 2^n)``.
 
-    ``p_X(b) = sum_j w_j |(U gamma_X v_j)_b|^2``, clipped and normalized per
-    group; the cumulative sum is then divided by its last entry, as
-    ``Generator.choice`` does.
+    ``p_X(b) = sum_j w_j |(U gamma_X v_j)_b|^2``, normalized per group; the
+    cumulative sum is then divided by its last entry, as
+    ``Generator.choice`` does.  Per sector block (:func:`_sector_blocks`) the
+    ``source`` entries ``c`` of ``gamma_X v_j`` are gathered straight from
+    the rows, ``(-1)^|a & zmask| v_j[a]`` with ``a = c ^ flip`` and the sign
+    read from ``signs = parity(arange(2^n))``; the group's phase is dropped,
+    since ``|amplitude|^2`` ignores it.  Two half-size products, and
+    ``|amplitude|^2`` is scattered into basis order.
     """
-    block = _conjugated(rows, flip, phase, zmask)
-    amplitudes = block.reshape(-1, block.shape[-1]) @ unitary.T
-    probs = np.abs(amplitudes)
-    np.square(probs, out=probs)  # nonnegative, so no clip is needed
+    probs = np.empty((len(rows) * len(flip), rows.shape[-1]))
+    for source, target, block in blocks:
+        at = source ^ flip[:, None]
+        vectors = rows[:, at]
+        vectors *= signs[at & zmask[:, None]]
+        part = np.abs(vectors.reshape(-1, len(source)) @ block)
+        np.square(part, out=part)  # nonnegative, so no clip is needed
+        probs[:, target] = part
     if len(rows) > 1:
-        probs = (weights[:, None, None] * probs.reshape(block.shape)).sum(axis=0)
+        probs = (weights[:, None, None] * probs.reshape(len(rows), len(flip), -1)).sum(axis=0)
     elif weights[0] != 1.0:  # one row: the weighted sum is one exact product
         probs *= weights[0]
     probs /= probs.sum(axis=1, keepdims=True)
@@ -299,8 +313,10 @@ def simulate_shots(state: FermionicState, ensemble: MeasurementEnsemble, n_shots
     samples its computational outcomes from one Born distribution.
     Rotations that drew shots are walked in order: one that is an exact
     column permutation of the current base rotation runs under the base's
-    unitary (:func:`_permuted`), and any other becomes the base and is
-    compiled.  Rotations that drew no shot are never compiled.
+    sector blocks (:func:`_permuted`), and any other becomes the base: it
+    is compiled and cut into its blocks (:func:`_sector_blocks`), and the
+    dense unitary is dropped.  Rotations that drew no shot are never
+    compiled.
     """
     n = state.n_modes
     if n != ensemble.n_modes:
@@ -324,9 +340,10 @@ def simulate_shots(state: FermionicState, ensemble: MeasurementEnsemble, n_shots
     uniforms = rng.random(n_shots)  # the draws of every group's choice call, in group order
     outcomes = np.empty(n_shots, dtype=np.int64)
     weights, base_rows = _eigenstates(state)
+    signs = parity(np.arange(2 ** n))
     step = _block_size(base_rows)
     edges = np.searchsorted(group_r, np.arange(n_mat + 1))
-    base = unitary = None
+    base = blocks = None
     for r in range(n_mat):
         lo, hi = edges[r], edges[r + 1]
         if lo == hi:
@@ -335,20 +352,21 @@ def simulate_shots(state: FermionicState, ensemble: MeasurementEnsemble, n_shots
         perm = None if base is None else _column_permutation(base, o)
         rows = None  # at most one moved copy of the eigen-rows at a time
         if perm is None:
-            unitary = None  # the next compile must not hold two unitaries at once
-            base, unitary = o, compile_gaussian_unitary(o, n)
+            blocks = None  # the next compile must not hold two rotations' blocks at once
+            base, blocks = o, _sector_blocks(compile_gaussian_unitary(o, n), np.linalg.det(o) < 0)
             rows, moved = base_rows, group_masks[lo:hi]
         else:
             rows, moved = _permuted(base_rows, group_masks[lo:hi], perm)
-        bits = _mask_bits(moved, n)
+        flip, _, zmask = _mask_bits(moved, n)
         for b in range(lo, hi, step):
             e = min(b + step, hi)
-            cdfs = _born_cdfs(unitary, weights, rows, *(a[b - lo : e - lo] for a in bits))
+            cdfs = _born_cdfs(blocks, signs, weights, rows, flip[b - lo : e - lo], zmask[b - lo : e - lo])
             shots = slice(bounds[b], bounds[e])
             outcomes[shots] = _outcomes(cdfs, group[shots] - b, uniforms[shots])
-    q_out = np.empty((n_shots, n), dtype=np.int8)
-    q_out[order] = _pair_sign_table(n)[:, outcomes].T
-    return ShotBatch(n, rs + 1, masks, q_out)
+    # the pair observables act as -Z on each qubit: q_j = -1 exactly where bit j of the outcome is 0
+    q_bits = np.empty(n_shots, dtype=np.uint64)
+    q_bits[order] = outcomes ^ (2 ** n - 1)
+    return ShotBatch(n, rs + 1, masks, q_bits)
 
 
 def shot_probability_table(state: FermionicState, ensemble: MeasurementEnsemble):

@@ -487,6 +487,47 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid input: target {target} needs an even degree of at least 2\n"
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ("gamma[1,2]gamma[3,4]", "cannot parse targets 'gamma[1,2]gamma[3,4]'"),
+            (",,gamma[1,2]", "cannot parse targets ',,gamma[1,2]'"),
+            ("gamma[1,2],", "cannot parse targets 'gamma[1,2],'"),
+            ("gamma[1,2],,gamma[3,4]", "cannot parse targets 'gamma[1,2],,gamma[3,4]'"),
+            ("gamma[1,2],gamma[1,2]", "duplicate target gamma[1,2]"),
+            ("gamma[1,2], gamma[3,4] ,gamma[1,2]", "duplicate target gamma[1,2]"),
+        ],
+    )
+    def test_estimate_rejects_bad_target_lists(self, tmp_path, capsys, targets, message):
+        # exactly one comma between tokens, and each target once, like the Hamiltonian's terms
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        capsys.readouterr()
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--targets", targets, "--shots", "0",
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+
+    def test_estimate_targets_allow_space_around_commas(self, tmp_path, capsys):
+        ens = tmp_path / "ens.zip"
+        assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        capsys.readouterr()
+        code = self.run(
+            "estimate", "--state", str(state_path), "--ensemble", str(ens),
+            "--targets", " gamma[1,2] , gamma[3,4]", "--shots", "0",
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [e["target"] for e in report["estimates"]] == [[1, 2], [3, 4]]
+
     @pytest.mark.parametrize("shots", ["0", "200"])
     def test_estimate_empty_hamiltonian_is_float_zero(self, tmp_path, capsys, shots):
         # a Hamiltonian with no terms reads 0.0 in both modes, a float like every estimate

@@ -13,6 +13,7 @@ from majorana_jm.algebra import (
     ScaledMonomial,
     apply_monomial,
     canonical_monomial,
+    parity,
     pauli_dense,
     subsets_of_size,
     to_pauli,
@@ -52,8 +53,16 @@ from majorana_jm.sampling import (
     _eigenstates,
     _filled_signs,
     _mask_bits,
+    _sector_blocks,
     _sign_rule,
 )
+
+
+def sector_cdfs(o, weights, rows, masks, n):
+    """``_born_cdfs`` of the groups ``masks`` under the rotation ``o``, from its compiled sector blocks."""
+    blocks = _sector_blocks(compile_gaussian_unitary(o, n), o.det() < 0)
+    flip, _, zmask = _mask_bits(masks, n)
+    return _born_cdfs(blocks, parity(np.arange(2 ** n)), weights, rows, flip, zmask)
 
 
 def bin_shots(batch, n, n_matrices):
@@ -158,9 +167,10 @@ class TestMatrixFreeAgainstDense:
         rng = np.random.default_rng(22)
         n = 3
         state = FermionicState.random_pure(n, rng) if pure else random_mixed(n, rng)
-        u = compile_gaussian_unitary(random_orthogonal(2 * n, rng), n)
+        o = random_orthogonal(2 * n, rng)
+        u = compile_gaussian_unitary(o, n)
         masks = np.arange(0, 4 ** n, 5, dtype=np.uint64)
-        cdfs = _born_cdfs(u, *_eigenstates(state), *_mask_bits(masks, n))
+        cdfs = sector_cdfs(o, *_eigenstates(state), masks, n)
         for mask, cdf in zip(masks.tolist(), cdfs):
             gx = pauli_dense(to_pauli(ScaledMonomial(n, mask, math.comb(mask.bit_count(), 2))))
             evolved = u @ gx @ state.density() @ gx.conj().T @ u.conj().T
@@ -208,6 +218,52 @@ class TestMatrixFreeAgainstDense:
             assert rec.estimate == pytest.approx(expected, abs=1e-12)
 
 
+class TestSectorBlocksAgainstDense:
+    """The two parity-sector blocks of a compiled unitary, and the Born cdfs made from them."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(n=1, det_negative=True, pure=False, seed=1)
+    @example(n=6, det_negative=True, pure=True, seed=2)
+    @example(n=6, det_negative=False, pure=False, seed=3)
+    @given(
+        n=st.integers(1, 6),
+        det_negative=st.booleans(),
+        pure=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_blocks_and_cdfs_match_dense_unitary(self, n, det_negative, pure, seed):
+        rng = np.random.default_rng(seed)
+        o = random_orthogonal(2 * n, rng, special=not det_negative)
+        u = compile_gaussian_unitary(o, n)
+        # the kernel's premise: each sector maps onto one sector, the other one
+        # exactly when det O = -1, and every other entry is exactly zero
+        sector = np.bitwise_count(np.arange(2 ** n)) & 1
+        assert np.all(u[(sector[:, None] ^ sector[None, :]) != det_negative] == 0.0)
+        blocks = _sector_blocks(u, det_negative)
+        assert sorted(np.concatenate([t for _, t, _ in blocks]).tolist()) == list(range(2 ** n))
+        for source, target, block in blocks:
+            assert block.shape == (2 ** (n - 1), 2 ** (n - 1))
+            assert np.array_equal(block, u[np.ix_(target, source)].T)
+        if pure:
+            state = FermionicState.random_pure(n, rng)
+        else:
+            # a rank-deficient density matrix
+            shape = (2 ** n, int(rng.integers(1, 2 ** n)))
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rho = a @ a.conj().T
+            state = FermionicState(n, density_matrix=rho / np.trace(rho))
+        masks = np.unique(rng.integers(0, 4 ** n, size=24, dtype=np.uint64))
+        cdfs = sector_cdfs(o, *_eigenstates(state), masks, n)
+        for mask, cdf in zip(masks.tolist(), cdfs):
+            gx = pauli_dense(to_pauli(ScaledMonomial(n, mask, math.comb(mask.bit_count(), 2))))
+            if pure:
+                expected = np.abs(u @ gx @ state.vector) ** 2
+            else:
+                expected = np.real(np.diag(u @ gx @ state.density_matrix @ gx.conj().T @ u.conj().T))
+            got = np.diff(cdf, prepend=0.0)
+            assert np.max(np.abs(got - expected / expected.sum())) < 1e-12
+
+
 def per_group_shots(state, ens, n_shots, rng):
     """Oracle sampler: one Born distribution and one ``rng.choice`` per shot group."""
     n = state.n_modes
@@ -244,9 +300,12 @@ class TestBatchedSamplerAgainstPerGroupOracle:
     @example(n=6, n_rotations=3, pure=True, shots=50, block_bytes=512, seed=2)
     @example(n=6, n_rotations=2, pure=False, shots=5_000, block_bytes=sampling._BLOCK_BYTES, seed=3)
     @example(n=3, n_rotations=3, pure=False, shots=20_000, block_bytes=512, seed=4)
+    # n_rotations=0: a constructed ensemble, whose rotations after the first
+    # run under the first one's sector blocks through _permuted
+    @example(n=6, n_rotations=0, pure=True, shots=20_000, block_bytes=sampling._BLOCK_BYTES, seed=5)
     @given(
         n=st.integers(1, 6),
-        n_rotations=st.integers(1, 3),
+        n_rotations=st.integers(0, 3),
         pure=st.booleans(),
         shots=st.integers(1, 100_000),
         # the shipped block size, whatever it is, always among them
@@ -255,8 +314,10 @@ class TestBatchedSamplerAgainstPerGroupOracle:
     )
     def test_same_shots_and_generator_state(self, n, n_rotations, pure, shots, block_bytes, seed):
         rng = np.random.default_rng(seed)
-        mats = [random_orthogonal(2 * n, rng).entries for _ in range(n_rotations)]
-        ens = custom_ensemble(n, 1, mats)
+        if n_rotations:
+            ens = custom_ensemble(n, 1, [random_orthogonal(2 * n, rng).entries for _ in range(n_rotations)])
+        else:
+            ens = degree2k_ensemble(n, 2 if n >= 6 else 1, seed=seed)
         if pure:
             state = FermionicState.random_pure(n, rng)
         else:
@@ -379,8 +440,7 @@ class TestPermutedRotationsAgainstPerRotationCompile:
         for r, mat in enumerate(ens.matrices):
             mine = group_r == r
             if mine.any():
-                u = compile_gaussian_unitary(mat.entries, n)
-                want = _born_cdfs(u, weights, rows, *_mask_bits(group_masks[mine], n))
+                want = sector_cdfs(mat, weights, rows, group_masks[mine], n)
                 assert np.max(np.abs(got[mine] - want)) <= 1e-15
 
 
@@ -458,12 +518,13 @@ def assert_rule_matches_loops(batch, table, subset, seed):
 
 
 def random_batch(n, n_matrices, shots, rng):
-    return ShotBatch(
-        n,
-        rng.integers(1, n_matrices + 1, size=shots),
-        rng.integers(0, 4 ** n, size=shots, dtype=np.uint64),
-        rng.choice(np.array([-1, 1], dtype=np.int8), size=(shots, n)),
-    )
+    r = rng.integers(1, n_matrices + 1, size=shots)
+    masks = rng.integers(0, 4 ** n, size=shots, dtype=np.uint64)
+    q = rng.choice(np.array([-1, 1], dtype=np.int8), size=(shots, n))
+    q_bits = ((q < 0).astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    batch = ShotBatch(n, r, masks, q_bits)
+    assert np.array_equal(batch.q, q)
+    return batch
 
 
 def test_sampling_never_goes_through_pauli_letters(monkeypatch):
