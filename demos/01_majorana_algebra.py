@@ -6,14 +6,12 @@ cross-checked against dense matrices.
 
 import numpy as np
 
-from majorana_jm.algebra import (
+from majorana_jm.algebra import canonical_monomial, dense_matrix, monomial_product
+from majorana_jm.paper import (
     BraidElement,
     braid_conjugate,
     braiding_recipe,
-    canonical_monomial,
     commutation_sign,
-    dense_matrix,
-    monomial_product,
     to_pauli,
 )
 

@@ -10,14 +10,9 @@ import math
 import numpy as np
 
 from majorana_jm.io import sharpness_csv
-from majorana_jm.matching import (
-    build_partition,
-    degree2_ensemble,
-    degree2k_ensemble,
-    permutation_cycles,
-    sparse_matching,
-)
+from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
 from majorana_jm.povm import sharpness_table
+from majorana_jm.turan import build_partition, permutation_cycles, sparse_matching
 
 matching = sparse_matching(2)
 print("staircase matching of the 6-vertex Turan graph:", matching.edges)

@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from majorana_jm.algebra import subsets_of_size
+from majorana_jm.ensemble import custom_ensemble
 from majorana_jm.gaussian import random_orthogonal
-from majorana_jm.matching import custom_ensemble, degree2_ensemble
+from majorana_jm.matching import degree2_ensemble
+from majorana_jm.paper import sample_complexity
 from majorana_jm.povm import sharpness_table
 from majorana_jm.sampling import (
     FermionicState,
@@ -19,7 +21,6 @@ from majorana_jm.sampling import (
     estimate_expectations,
     estimate_hamiltonian,
     predicted_variance,
-    sample_complexity,
     simulate_shots,
 )
 

@@ -7,13 +7,12 @@ strictly short (no order-6 skew-Hadamard).
 
 import math
 
+from majorana_jm.paper import exhaustive_tournament_max, tournament_bound_check
 from majorana_jm.robustness import (
     appendix_tournament_4,
     degree2_norm,
-    exhaustive_tournament_max,
     robustness_bruteforce,
     skew_hadamard_search,
-    tournament_bound_check,
 )
 
 for n, degree in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]:

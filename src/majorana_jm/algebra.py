@@ -8,8 +8,8 @@ them: under Jordan-Wigner a monomial is a signed permutation of the basis,
 ``gamma |b> = d[b] |b ^ flip>``, which :func:`monomial_action` computes in
 closed form from the support bits and :func:`apply_monomial` and
 :func:`monomial_trace` use in O(2^n) work per vector or trace.
-:func:`to_pauli` and :func:`pauli_dense` are the independent letter-by-letter
-and Kronecker-product oracle.
+:func:`majorana_jm.paper.to_pauli` and :func:`majorana_jm.paper.pauli_dense`
+are the independent letter-by-letter and Kronecker-product oracle.
 
 Conventions
 -----------
@@ -18,8 +18,7 @@ Conventions
 * A canonical observable on support ``S`` carries the phase ``i**C(|S|,2)``
   in front of the ascending product of generators.  For even ``|S|`` this is
   the standard Hermitian normalisation; for odd ``|S|`` it is the unique
-  extension that keeps the observable Hermitian (see
-  ``ODD_DEGREE_PHASE_NOTE``).
+  extension that keeps the observable Hermitian.
 * Dense matrices tensor qubit ``n`` down to qubit ``1``, i.e. qubit 1 lives
   in the least-significant bit of the basis index.
 """
@@ -28,33 +27,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 __all__ = [
     "ScaledMonomial",
-    "PauliString",
-    "BraidElement",
     "DENSE_LIMIT",
-    "ODD_DEGREE_PHASE_NOTE",
     "canonical_monomial",
-    "identity_monomial",
     "monomial_product",
-    "commutation_sign",
-    "to_pauli",
-    "pauli_dense",
     "monomial_bits",
     "monomial_action",
     "parity",
     "apply_monomial",
     "monomial_trace",
     "dense_matrix",
-    "braid_conjugate",
-    "braid_unitary",
-    "braiding_recipe",
-    "braid_stabilizer_unitaries",
-    "commutant_dimension",
     "monomial_to_str",
     "monomial_from_str",
     "subsets_of_size",
@@ -65,41 +52,9 @@ __all__ = [
 # Dense realizations are gated to keep memory/time bounded.
 DENSE_LIMIT = 12
 
-ODD_DEGREE_PHASE_NOTE = (
-    "Odd-degree canonical monomials carry phase i**C(k,2) with k = |S|, the "
-    "unique Hermitian extension of the even-degree convention."
-)
-
 _PHASE_VALUES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _PHASE_ARRAY = np.array(_PHASE_VALUES)
 _PHASE_LABELS = ("+1", "+i", "-1", "-i")
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-# (a, b) -> (a*b letter, quarter-phase), e.g. X*Y = i Z.
-_PAULI_MUL = {
-    ("I", "I"): ("I", 0),
-    ("I", "X"): ("X", 0),
-    ("I", "Y"): ("Y", 0),
-    ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0),
-    ("Y", "I"): ("Y", 0),
-    ("Z", "I"): ("Z", 0),
-    ("X", "X"): ("I", 0),
-    ("Y", "Y"): ("I", 0),
-    ("Z", "Z"): ("I", 0),
-    ("X", "Y"): ("Z", 1),
-    ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1),
-    ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1),
-    ("X", "Z"): ("Y", 3),
-}
 
 
 def indices_to_support(indices, n_modes: int) -> int:
@@ -132,20 +87,21 @@ def subsets_of_size(n_items: int, size: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in itertools.combinations(range(1, n_items + 1), size)]
 
 
-@dataclass(frozen=True)
-class ScaledMonomial:
-    """``i**phase_quarter`` times the ascending product of generators in ``support``."""
+class ScaledMonomial(namedtuple("ScaledMonomial", "n_modes support phase_quarter")):
+    """``i**phase_quarter`` times the ascending product of generators in ``support``.
 
-    n_modes: int
-    support: int
-    phase_quarter: int
+    A tuple ``(n_modes, support, phase_quarter)``: it compares equal to a
+    plain tuple of the same fields.
+    """
 
-    def __post_init__(self):
-        if self.n_modes < 1:
+    __slots__ = ()
+
+    def __new__(cls, n_modes: int, support: int, phase_quarter: int):
+        if n_modes < 1:
             raise ValueError("n_modes must be positive")
-        if self.support >> (2 * self.n_modes):
+        if support >> (2 * n_modes):
             raise ValueError("support outside the 2n generators")
-        object.__setattr__(self, "phase_quarter", self.phase_quarter % 4)
+        return super().__new__(cls, n_modes, support, phase_quarter % 4)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -167,6 +123,8 @@ def _as_support(indices, n_modes: int | None = None) -> int:
     """Support mask of a mask or of 1-based indices (checked up to ``n_modes`` or the largest)."""
     if isinstance(indices, int):
         return indices
+    if isinstance(indices, ScaledMonomial):
+        raise TypeError("expected a support mask or generator indices, not a monomial")
     indices = tuple(indices)
     if n_modes is None:
         n_modes = (max(indices, default=0) + 1) // 2
@@ -177,10 +135,6 @@ def canonical_monomial(n_modes: int, indices) -> ScaledMonomial:
     """Hermitian observable on a 1-based index set or a support bitmask."""
     support = _as_support(indices, n_modes)
     return ScaledMonomial(n_modes, support, math.comb(support.bit_count(), 2) % 4)
-
-
-def identity_monomial(n_modes: int) -> ScaledMonomial:
-    return ScaledMonomial(n_modes, 0, 0)
 
 
 def _crossing_count(mask_a: int, mask_b: int) -> int:
@@ -206,73 +160,6 @@ def monomial_product(a: ScaledMonomial, b: ScaledMonomial) -> ScaledMonomial:
     inv = _crossing_count(a.support, b.support)
     phase = (a.phase_quarter + b.phase_quarter + 2 * inv) % 4
     return ScaledMonomial(a.n_modes, a.support ^ b.support, phase)
-
-
-def commutation_sign(set_a, set_b) -> int:
-    """+1 if the observables on the two index sets commute, -1 otherwise.
-
-    Accepts 1-based index iterables or support bitmasks; the sign is
-    ``(-1)**(|A|*|B| - |A & B|)``.
-    """
-    mask_a, mask_b = _as_support(set_a), _as_support(set_b)
-    exponent = mask_a.bit_count() * mask_b.bit_count() - (mask_a & mask_b).bit_count()
-    return -1 if exponent % 2 else 1
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis times ``i**phase_quarter``."""
-
-    n_qubits: int
-    letters: tuple[str, ...]
-    phase_quarter: int
-
-    def __post_init__(self):
-        if len(self.letters) != self.n_qubits:
-            raise ValueError("letter count must equal n_qubits")
-        if any(c not in "IXYZ" for c in self.letters):
-            raise ValueError("letters must be I, X, Y or Z")
-        object.__setattr__(self, "phase_quarter", self.phase_quarter % 4)
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for c in self.letters if c != "I")
-
-    @property
-    def phase(self) -> complex:
-        return _PHASE_VALUES[self.phase_quarter]
-
-    def __str__(self) -> str:
-        return _PHASE_LABELS[self.phase_quarter] + "*" + "".join(self.letters)
-
-
-def to_pauli(m: ScaledMonomial) -> PauliString:
-    """Jordan-Wigner image of a monomial, phase included.
-
-    Generator ``j`` on qubit ``h = (j-1)//2`` maps to ``Z`` on qubits below
-    ``h``, then ``X`` (odd ``j``) or ``Y`` (even ``j``) on ``h``, identity
-    above; the images are multiplied in ascending order, letter by letter.
-    """
-    letters = ["I"] * m.n_modes
-    phase = m.phase_quarter
-    for j in m.indices:
-        head = (j - 1) // 2
-        for q in range(head):
-            letters[q], extra = _PAULI_MUL[(letters[q], "Z")]
-            phase += extra
-        letters[head], extra = _PAULI_MUL[(letters[head], "X" if j % 2 else "Y")]
-        phase += extra
-    return PauliString(m.n_modes, tuple(letters), phase % 4)
-
-
-def pauli_dense(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string (qubit 1 in the least-significant bit)."""
-    if p.n_qubits > DENSE_LIMIT:
-        raise ValueError(f"dense limit {DENSE_LIMIT} exceeded")
-    out = np.array([[p.phase]], dtype=complex)
-    for letter in reversed(p.letters):
-        out = np.kron(out, _PAULI_MATS[letter])
-    return out
 
 
 def parity(bits) -> np.ndarray:
@@ -332,8 +219,8 @@ def monomial_trace(m: ScaledMonomial, rho: np.ndarray) -> complex:
 def dense_matrix(m: ScaledMonomial) -> np.ndarray:
     """Dense ``2^n`` realization, the action scattered into a zero matrix.
 
-    Uncached oracle; :func:`pauli_dense` of :func:`to_pauli` is the
-    independent Kronecker-product check.
+    Uncached oracle; :func:`majorana_jm.paper.pauli_dense` of ``to_pauli`` is
+    the independent Kronecker-product check.
     """
     if m.n_modes > DENSE_LIMIT:
         raise ValueError(f"dense limit {DENSE_LIMIT} exceeded")
@@ -342,140 +229,6 @@ def dense_matrix(m: ScaledMonomial) -> np.ndarray:
     out = np.zeros((len(d), len(d)), dtype=complex)
     out[basis ^ flip, basis] = d
     return out
-
-
-@dataclass(frozen=True)
-class BraidElement:
-    """Exchange unitary for the generator pair ``(i, j)`` with ``i < j``."""
-
-    i: int
-    j: int
-    inverse_flag: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise ValueError("require 1 <= i < j")
-
-    def inverse(self) -> "BraidElement":
-        return BraidElement(self.i, self.j, not self.inverse_flag)
-
-
-def braid_conjugate(b: BraidElement, m: ScaledMonomial) -> ScaledMonomial:
-    """Image of ``m`` under conjugation with the braid ``b``.
-
-    The forward braid sends ``gamma_i -> gamma_j`` and ``gamma_j -> -gamma_i``
-    and fixes every other generator; the inverse swaps the roles.
-    """
-    if b.j > 2 * m.n_modes:
-        raise ValueError("braid index outside the 2n generators")
-    # forward: i -> j, j -> -i; inverse: j -> i, i -> -j
-    if not b.inverse_flag:
-        mapping = {b.i: (b.j, 1), b.j: (b.i, -1)}
-    else:
-        mapping = {b.j: (b.i, 1), b.i: (b.j, -1)}
-    images = []
-    sign = 1
-    for j in m.indices:
-        tgt, s = mapping.get(j, (j, 1))
-        sign *= s
-        images.append(tgt)
-    # sort the image generators, tracking transposition parity
-    inv = 0
-    arr = list(images)
-    for a in range(len(arr)):
-        for c in range(a + 1, len(arr)):
-            if arr[a] > arr[c]:
-                inv += 1
-    arr.sort()
-    support = indices_to_support(arr, m.n_modes)
-    phase = (m.phase_quarter + 2 * ((0 if sign == 1 else 1) + inv)) % 4
-    return ScaledMonomial(m.n_modes, support, phase)
-
-
-def braid_unitary(b: BraidElement, n_modes: int) -> np.ndarray:
-    """Dense unitary ``(1 - gamma_i gamma_j)/sqrt(2)`` (or its inverse)."""
-    gij = dense_matrix(ScaledMonomial(n_modes, 1 << (b.i - 1) | 1 << (b.j - 1), 0))
-    eye = np.eye(gij.shape[0], dtype=complex)
-    if b.inverse_flag:
-        return (eye + gij) / math.sqrt(2.0)
-    return (eye - gij) / math.sqrt(2.0)
-
-
-def braiding_recipe(set_a, set_b, n_modes: int) -> list[BraidElement]:
-    """Braids carrying the observable on ``set_a`` to ``+-`` the one on ``set_b``.
-
-    Pairs the ascending elements of ``A \\ B`` with those of ``B \\ A``; the
-    pairs are disjoint, so the braids commute and the composite maps
-    ``gamma_A`` to ``+-gamma_B`` exactly.
-    """
-    a = set(set_a)
-    b = set(set_b)
-    if len(a) != len(b):
-        raise ValueError("cardinality mismatch")
-    move_from = sorted(a - b)
-    move_to = sorted(b - a)
-    return [BraidElement(min(u, v), max(u, v)) for u, v in zip(move_from, move_to)]
-
-
-def braid_stabilizer_unitaries(indices, n_modes: int) -> list[np.ndarray]:
-    """Dense unitaries of every braid fixing the observable on ``indices``.
-
-    These are the braids whose two generator indices lie both inside or both
-    outside the support.
-    """
-    inside = sorted(set(indices))
-    outside = [j for j in range(1, 2 * n_modes + 1) if j not in inside]
-    gens = []
-    for group in (inside, outside):
-        for i, j in itertools.combinations(group, 2):
-            gens.append(braid_unitary(BraidElement(i, j), n_modes))
-    return gens
-
-
-def _parity_sector_basis(n_modes: int, sector: str) -> np.ndarray:
-    q = dense_matrix(canonical_monomial(n_modes, range(1, 2 * n_modes + 1)))
-    diag = np.real(np.diag(q))
-    want = 1.0 if sector == "even" else -1.0
-    cols = np.where(np.isclose(diag, want))[0]
-    basis = np.zeros((q.shape[0], len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = 1.0
-    return basis
-
-
-def commutant_dimension(
-    generators,
-    parity_sector: str | None = None,
-    n_modes: int | None = None,
-) -> int:
-    """Dimension of the space of matrices commuting with every generator.
-
-    Solves the joint linear system ``M A - A M = 0`` by a nullspace
-    computation; singular values up to ``1e-8`` times the largest (or 1)
-    count as zero.  With ``parity_sector`` given, the generators are first
-    restricted to the even or odd eigenspace of the parity operator
-    (``n_modes`` is then required).
-    """
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    if not mats:
-        raise ValueError("need at least one generator")
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        raise ValueError("generators must share one dimension")
-    if dim > 2 ** 5:
-        raise ValueError("dimension limit exceeded (n <= 5)")
-    if parity_sector is not None:
-        if parity_sector not in ("even", "odd"):
-            raise ValueError("parity_sector must be 'even' or 'odd'")
-        if n_modes is None:
-            raise ValueError("n_modes required with a parity sector")
-        basis = _parity_sector_basis(n_modes, parity_sector)
-        mats = [basis.conj().T @ m @ basis for m in mats]
-        dim = mats[0].shape[0]
-    eye = np.eye(dim)
-    blocks = [np.kron(a.T, eye) - np.kron(eye, a) for a in mats]
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals <= 1e-8 * max(1.0, svals[0])))
 
 
 def monomial_to_str(m: ScaledMonomial) -> str:

@@ -1,10 +1,11 @@
-"""Comparator formulas: qubit-local parents and shadow-derived bounds.
+"""Comparator formulas and bounds: qubit-local parents, shadow and spectral bounds.
 
 The qubit route measures every generator through a fermion-to-qubit
 mapping and the local unbiased parent, paying ``3**(-w/2)`` per Pauli
 weight ``w``; the tree-based mapping is modeled by its weight ceiling
-alone.  The shadow route gives a certified joint-measurability threshold
-and the matching state-independent variance norm.
+alone.  The shadow route gives a certified joint-measurability threshold.
+The proven upper bounds on the robustness close the comparison; ``compare``
+and the robustness reports both read them here.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ __all__ = [
     "MappingModel",
     "qubit_parent_sharpness",
     "mapped_sharpness",
-    "jw_max_weight",
     "shadow_jm_bound",
-    "shadow_norm",
+    "ho_bound",
+    "ho_bound_proven",
+    "thm2_upper_bound",
     "comparison_rows",
 ]
-
-# degree-k images jw_max_weight enumerates at most
-_JW_ENUMERATION_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -51,21 +50,6 @@ def qubit_parent_sharpness(weight: int) -> float:
     return 3.0 ** (-weight / 2.0)
 
 
-def jw_max_weight(n_modes: int, degree: int) -> int:
-    """Largest Pauli weight among degree-k observables under Jordan-Wigner."""
-    from majorana_jm.algebra import canonical_monomial, subsets_of_size, to_pauli
-
-    if degree == 0:
-        return 0
-    count = math.comb(2 * n_modes, degree)
-    if count > _JW_ENUMERATION_CAP:
-        raise ValueError("enumeration too large")
-    best = 0
-    for subset in subsets_of_size(2 * n_modes, degree):
-        best = max(best, to_pauli(canonical_monomial(n_modes, subset)).weight)
-    return best
-
-
 def mapped_sharpness(model: MappingModel, degree: int) -> float:
     """Worst-case joint sharpness of all degree-k observables under a mapping.
 
@@ -79,6 +63,8 @@ def mapped_sharpness(model: MappingModel, degree: int) -> float:
     if model.kind == "ternary-tree":
         weight = degree * model.generator_weight(1)
         return qubit_parent_sharpness(weight)
+    from majorana_jm.paper import jw_max_weight
+
     return qubit_parent_sharpness(jw_max_weight(model.n_modes, degree))
 
 
@@ -93,13 +79,30 @@ def shadow_jm_bound(n_modes: int, half_degree: int) -> float:
     return math.comb(n_modes, half_degree) / math.comb(2 * n_modes, 2 * half_degree)
 
 
-def shadow_norm(n_modes: int, half_degree: int) -> float:
-    """State-independent shadow variance norm ``sqrt(C(2n,2k)/C(n,k))``."""
-    if not 1 <= half_degree <= n_modes:
-        raise ValueError("need 1 <= k <= n")
+def ho_bound(n_modes: int, half_degree: int) -> float:
+    """Spectral upper bound ``sqrt(C(n,k)/C(2n,2k))`` on the robustness."""
+    if half_degree < 1:
+        raise ValueError("half_degree must be >= 1")
     return math.sqrt(
-        math.comb(2 * n_modes, 2 * half_degree) / math.comb(n_modes, half_degree)
+        math.comb(n_modes, half_degree) / math.comb(2 * n_modes, 2 * half_degree)
     )
+
+
+def ho_bound_proven(half_degree: int) -> bool:
+    """The bound is proven for half-degree at most 5, conjectured beyond."""
+    return half_degree <= 5
+
+
+def thm2_upper_bound(n_modes: int, degree: int) -> float | None:
+    """Best proven upper bound on the degree-k robustness, None if unproven."""
+    if degree % 2:
+        return None
+    half = degree // 2
+    if half == 1:
+        return 1.0 / math.sqrt(2 * n_modes - 1)
+    if ho_bound_proven(half):
+        return ho_bound(n_modes, half)
+    return None
 
 
 def comparison_rows(n_values, half_degree: int, construction_seed: int = 0):
@@ -110,8 +113,8 @@ def comparison_rows(n_values, half_degree: int, construction_seed: int = 0):
     shadow_jm_bound, ho_bound, thm2_upper.  Construction entries are blank
     where the ensemble is infeasible.
     """
-    from majorana_jm.matching import CoverageError, degree2_ensemble, degree2k_ensemble
-    from majorana_jm.robustness import ho_bound, thm2_upper_bound
+    from majorana_jm.ensemble import CoverageError
+    from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
 
     rows = []
     for n in n_values:

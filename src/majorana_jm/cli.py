@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 EXIT_OK = 0
@@ -88,11 +89,16 @@ def _apply_config(parser, argv, args):
     """Parse again with the config file's values as the command's defaults.
 
     A value from the file replaces a flag's default; a flag given on the
-    command line still wins.
+    command line still wins.  A key that names no flag of the command is
+    refused, so a misspelt one is not silently dropped.
     """
     if args.config:
         with open(args.config) as fh:
             conf = json.load(fh)
+        flags = set(vars(args)) - {"command"}
+        unknown = ", ".join(repr(k) for k in conf if k.replace("-", "_") not in flags)
+        if unknown:
+            raise ValueError(f"--config key(s) {unknown} name no flag of {args.command}")
         parser.commands[args.command].set_defaults(**{k.replace("-", "_"): v for k, v in conf.items()})
         args = parser.parse_args(argv)
     return args
@@ -160,7 +166,7 @@ def _cmd_validate(args):
         "orthogonality": "certified",
     }
     if ensemble.n_modes <= 3:
-        from majorana_jm.povm import parent_validate
+        from majorana_jm.effects import parent_validate
 
         dense = [
             parent_validate(m.entries, ensemble.n_modes)
@@ -184,6 +190,8 @@ def _cmd_robustness(args):
     from majorana_jm import io
     from majorana_jm.robustness import BRUTE_FORCE_BUDGET, exact_robustness
 
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     budget = BRUTE_FORCE_BUDGET if args.budget is None else args.budget
     report = exact_robustness(args.n, args.k, budget=budget)
     status = "budget-exceeded" if report.method == "bound-only" else "ok"
@@ -246,7 +254,11 @@ def _parse_targets(text, n_modes):
 
 
 def _parse_hamiltonian(path, n_modes):
-    """The Hamiltonian JSON ``{"terms": [[indices, coeff], ...]}``, each term checked like a target."""
+    """The Hamiltonian JSON ``{"terms": [[indices, coeff], ...]}``, each term checked like a target.
+
+    A coefficient must be finite: Python's ``json`` reads ``NaN`` and
+    ``Infinity``, which would make the report invalid JSON.
+    """
     from majorana_jm.algebra import indices_to_support
     from majorana_jm.sampling import HamiltonianSpec
 
@@ -255,9 +267,11 @@ def _parse_hamiltonian(path, n_modes):
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("--hamiltonian needs a JSON object with a 'terms' list")
     terms = tuple((tuple(term[0]), float(term[1])) for term in data["terms"])
-    for subset, _ in terms:
+    for subset, coeff in terms:
         indices_to_support(subset, n_modes)
         _check_degree(subset)
+        if not math.isfinite(coeff):
+            raise ValueError(f"term gamma[{','.join(map(str, subset))}] has a non-finite coefficient {coeff}")
     return HamiltonianSpec(terms)
 
 
@@ -321,10 +335,8 @@ def _cmd_estimate(args):
                 fh.write(io.shot_log_csv(batch))
         meta["mode"] = "sampled"
     if ham and ensemble.n_matrices == 1:
-        import dataclasses
-
         pred = predicted_variance(ham, table, state)
-        ham_record = dataclasses.replace(ham_record, predicted_variance=pred)
+        ham_record = ham_record._replace(predicted_variance=pred)
     _emit(args, io.estimation_report_json(records, ham_record, meta))
     return EXIT_OK
 
@@ -363,8 +375,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001
-        from majorana_jm.matching import CoverageError
-        from majorana_jm.sampling import UncoveredTargetError
+        from majorana_jm.ensemble import CoverageError, UncoveredTargetError
 
         if isinstance(exc, UncoveredTargetError):
             sys.stderr.write(f"uncovered target: {exc}\n")

@@ -13,37 +13,32 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 __all__ = [
     "OrthogonalMatrix",
-    "LowerFlatMatrix",
     "ORTHOGONALITY_TOL",
-    "ROTATION_LAW_TOL",
-    "sylvester_hadamard",
-    "lower_flat",
     "givens_factors",
     "compile_gaussian_unitary",
     "submatrix_det",
-    "minor_expansion_check",
     "random_orthogonal",
 ]
 
 ORTHOGONALITY_TOL = 1e-12
-ROTATION_LAW_TOL = 1e-9
-_HADAMARD_MAX_M = 12
 
 
-@dataclass(frozen=True)
-class OrthogonalMatrix:
-    """Real square matrix certified orthogonal at construction."""
+class OrthogonalMatrix(namedtuple("OrthogonalMatrix", "entries")):
+    """Real square matrix certified orthogonal at construction.
 
-    entries: np.ndarray
+    A one-field tuple: read the array from ``entries``, not ``np.asarray(self)``.
+    """
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
         gram = arr @ arr.T - np.eye(arr.shape[0])
@@ -52,7 +47,7 @@ class OrthogonalMatrix:
                 f"orthogonality gate failed: residual {np.max(np.abs(gram)):.3e}"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        return super().__new__(cls, arr)
 
     @property
     def size(self) -> int:
@@ -62,78 +57,8 @@ class OrthogonalMatrix:
         return float(np.linalg.det(self.entries))
 
 
-@dataclass(frozen=True)
-class LowerFlatMatrix:
-    """Orthogonal matrix whose entries are all bounded away from zero."""
-
-    entries: np.ndarray
-    min_abs_entry: float = field(init=False)
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        gram = arr @ arr.T - np.eye(arr.shape[0])
-        if np.max(np.abs(gram)) > ORTHOGONALITY_TOL:
-            raise ValueError("lower-flat matrix failed the orthogonality gate")
-        smallest = float(np.min(np.abs(arr)))
-        if smallest <= 0.0:
-            raise ValueError("lower-flat matrix has a zero entry")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "min_abs_entry", smallest)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-def sylvester_hadamard(m: int) -> np.ndarray:
-    """Sylvester Hadamard matrix of order ``2**m`` with +-1 entries."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > _HADAMARD_MAX_M:
-        raise ValueError(f"Hadamard order 2**{m} exceeds limit 2**{_HADAMARD_MAX_M}")
-    h = np.array([[1.0]])
-    block = np.array([[1.0, 1.0], [1.0, -1.0]])
-    for _ in range(m):
-        h = np.kron(block, h)
-    return h
-
-
-def lower_flat(size: int) -> LowerFlatMatrix:
-    """Lower-flat orthogonal matrix of the given order.
-
-    Decomposes ``size = 2**m + q`` with ``0 <= q < 2**m`` (the decomposition
-    is unique) and builds the bordered-Hadamard construction from a
-    normalized Sylvester Hadamard.  For ``q = 0`` the result is the
-    normalized Hadamard itself.  For ``m > 1`` every entry has magnitude at
-    least ``1/(2*sqrt(size))``; for ``size = 3`` (the only order forcing
-    ``m = 1`` with ``q > 0``) the measured ``min_abs_entry`` is recorded
-    instead of asserting that bound.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if size == 1:
-        return LowerFlatMatrix(np.array([[1.0]]))
-    m = size.bit_length() - 1  # unique m with 2**m <= size < 2**(m+1)
-    q = size - 2 ** m
-    h = sylvester_hadamard(m) / math.sqrt(2 ** m)
-    if q == 0:
-        return LowerFlatMatrix(h)
-    s = 2 ** m - q
-    h_ss, h_sq = h[:s, :s], h[:s, s:]
-    h_qs, h_qq = h[s:, :s], h[s:, s:]
-    eye_q = np.eye(q)
-    root2 = math.sqrt(2.0)
-    top = np.hstack([h_ss, h_sq / root2, -h_sq / root2])
-    mid = np.hstack([h_qs / root2, (h_qq + eye_q) / 2.0, (-h_qq + eye_q) / 2.0])
-    bot = np.hstack([-h_qs / root2, (-h_qq + eye_q) / 2.0, (h_qq + eye_q) / 2.0])
-    return LowerFlatMatrix(np.vstack([top, mid, bot]))
-
-
 def _as_array(o) -> np.ndarray:
     if isinstance(o, OrthogonalMatrix):
-        return o.entries
-    if isinstance(o, LowerFlatMatrix):
         return o.entries
     return OrthogonalMatrix(np.asarray(o, dtype=float)).entries
 
@@ -295,26 +220,6 @@ def submatrix_det(o, rows, cols) -> float:
     if sub.shape == (2, 2):
         return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
     return float(np.linalg.det(sub))
-
-
-def minor_expansion_check(o, subset, n_modes: int) -> float:
-    """Residual of the minor-expansion law for the observable on ``subset``.
-
-    Evaluates ``U^dag gamma_S U - sum_S' det(O_{S,S'}) gamma_S'`` in max norm;
-    the sum runs over all supports of size ``|S|``.
-    """
-    from majorana_jm.algebra import canonical_monomial, dense_matrix, subsets_of_size
-
-    arr = _as_array(o)
-    u = compile_gaussian_unitary(arr, n_modes)
-    g = dense_matrix(canonical_monomial(n_modes, subset))
-    rotated = u.conj().T @ g @ u
-    acc = np.zeros_like(rotated)
-    for other in subsets_of_size(2 * n_modes, len(tuple(subset))):
-        d = submatrix_det(arr, subset, other)
-        if d != 0.0:
-            acc = acc + d * dense_matrix(canonical_monomial(n_modes, other))
-    return float(np.max(np.abs(rotated - acc)))
 
 
 def random_orthogonal(size: int, rng, special: bool | None = None) -> OrthogonalMatrix:

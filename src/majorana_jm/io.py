@@ -17,15 +17,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from majorana_jm.matching import (
-    COVERAGE_TOL,
-    MeasurementEnsemble,
-    MinorTable,
-    custom_ensemble,
-    permutation_cycles,
-)
+from majorana_jm.ensemble import COVERAGE_TOL, MeasurementEnsemble, custom_ensemble
 
-if TYPE_CHECKING:  # a command loads robustness or sampling only if it runs them
+if TYPE_CHECKING:  # a command loads the scan, robustness or sampling only if it runs them
+    from majorana_jm.matching import MinorTable
     from majorana_jm.robustness import RobustnessReport
     from majorana_jm.sampling import EstimationRecord, FermionicState, ShotBatch
 
@@ -34,14 +29,12 @@ __all__ = [
     "matrix_from_text",
     "write_ensemble_archive",
     "read_ensemble_archive",
-    "coverage_csv",
     "sharpness_csv",
     "shot_log_csv",
     "estimation_report_json",
     "robustness_report_json",
     "comparison_csv",
     "state_from_json",
-    "state_to_json",
     "rng_for",
 ]
 
@@ -99,10 +92,6 @@ def _coverage_csv_parts(table: MinorTable):
         yield "".join([f"{s},{r or ''},{rows},{eta:.17g}\n" for s, r, rows, eta in fields])
 
 
-def coverage_csv(table: MinorTable) -> str:
-    return "".join(_coverage_csv_parts(table))
-
-
 def _sharpness_csv_parts(table):
     """Yield the sharpness CSV: its header, then one text per block of :func:`_coverage_blocks`.
 
@@ -131,6 +120,8 @@ def write_ensemble_archive(path, ensemble: MeasurementEnsemble) -> None:
     ``<path>.coverage.csv``.  Both get it block by block, so its whole text
     is never held.
     """
+    from majorana_jm.turan import permutation_cycles
+
     meta = {
         "format": _ARCHIVE_FORMAT,
         "n_modes": ensemble.n_modes,
@@ -267,22 +258,6 @@ def state_from_json(data) -> FermionicState:
         rho = np.array([[as_complex(v) for v in row] for row in data["density"]])
         return FermionicState(n, density_matrix=rho)
     raise ValueError("state JSON needs 'amplitudes' or 'density'")
-
-
-def state_to_json(state: FermionicState) -> str:
-    if state.is_pure:
-        payload = {
-            "n_modes": state.n_modes,
-            "amplitudes": [[v.real, v.imag] for v in state.vector],
-        }
-    else:
-        payload = {
-            "n_modes": state.n_modes,
-            "density": [
-                [[v.real, v.imag] for v in row] for row in state.density_matrix
-            ],
-        }
-    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:

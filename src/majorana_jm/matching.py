@@ -1,20 +1,16 @@
-"""Turan-graph partitions, sparse perfect matchings, and measurement ensembles.
+"""The minor table of an ensemble, and the builders of the constructed ensembles.
 
-The degree-2 ensemble consists of two orthogonal matrices ``O1 = P_pi D``
-and ``O2 = O1 P_sigma`` where ``D`` is a direct sum of lower-flat blocks,
-``pi`` reorders a sparsely arranged perfect matching onto the standard
-pairs ``{2j-1, 2j}``, and ``sigma`` swaps the endpoints of every matching
-edge.  The degree-2k ensemble permutes the columns of ``O1`` by uniformly
-random permutations and retries until every size-2k support is covered.
-Every rotation either builder makes is therefore ``O1`` with permuted
-columns, and its minors are those of ``O1``, relabelled and signed: the
-minor scan runs its kernel once per base rotation and reads every
-permuted copy off the base's table.
-
-Mode counts that miss the exact Turan size ``2n = l(l+1)`` are handled by
-enlarging some blocks by two vertices; the two extra vertices of an
-enlarged block are matched to each other and their within-block pair is
-covered through a non-monomial 2x2 minor forced by orthogonality.
+The scan reads every rotation's minors ``det(O_{R,S})`` over the diagonal
+row sets ``R`` and the size-2k supports ``S`` into a :class:`MinorTable`,
+which is also the coverage certificate.  The degree-2 ensemble is the pair
+``O1 = P_pi D``, ``O2 = O1 P_sigma`` of :mod:`majorana_jm.turan`; the
+degree-2k ensemble permutes the columns of ``O1`` by uniformly random
+permutations and retries until every size-2k support is covered.  Every
+rotation either builder makes is therefore ``O1`` with permuted columns,
+and its minors are those of ``O1``, relabelled and signed: the minor scan
+runs its kernel once per base rotation and reads every permuted copy off
+the base's table.  The builders load :mod:`majorana_jm.turan` only when
+they run, so commands that only scan never compile the construction.
 """
 
 from __future__ import annotations
@@ -24,253 +20,28 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from majorana_jm.gaussian import LowerFlatMatrix, OrthogonalMatrix, lower_flat
+from majorana_jm.ensemble import COVERAGE_TOL, CoverageError, MeasurementEnsemble, _column_permutation
+from majorana_jm.gaussian import OrthogonalMatrix
 
 __all__ = [
-    "TuranPartition",
-    "PerfectMatching",
-    "MeasurementEnsemble",
     "CoverageRow",
-    "CoverageError",
-    "COVERAGE_TOL",
     "MinorTable",
-    "turan_side",
-    "build_partition",
-    "sparse_matching",
-    "general_matching",
-    "pi_permutation",
-    "sigma_permutation",
-    "permutation_matrix",
-    "permutation_cycles",
     "diag_index_sets",
     "degree2_ensemble",
     "degree2k_ensemble",
-    "custom_ensemble",
     "minor_dets",
     "scan_minors",
-    "partition_failure_prob",
-    "random_partition",
-    "random_partition_batch",
-    "is_generated",
 ]
 
-COVERAGE_TOL = 1e-12
 # candidate resamples before the degree-2k construction gives up
 _MAX_RETRIES = 200
 # (row set, support) pairs evaluated at once (4.7 MB of 6x6 submatrices on LAPACK)
 _PAIR_CHUNK = 1 << 14
-
-
-class CoverageError(RuntimeError):
-    """Raised when an ensemble fails its coverage certificate."""
-
-
-@dataclass(frozen=True)
-class TuranPartition:
-    """Partition of ``{1..2n}`` into ``l+1`` contiguous subsets."""
-
-    n_vertices: int
-    subsets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        flat = [v for sub in self.subsets for v in sub]
-        if sorted(flat) != list(range(1, self.n_vertices + 1)):
-            raise ValueError("subsets must partition {1..2n}")
-
-    @property
-    def n_subsets(self) -> int:
-        return len(self.subsets)
-
-    def color_of(self) -> dict[int, int]:
-        """vertex -> subset index (0-based)."""
-        return {v: i for i, sub in enumerate(self.subsets) for v in sub}
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """Perfect matching given as ascending vertex pairs sorted by first vertex."""
-
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n_vertices):
-                raise ValueError(f"bad edge ({u},{v})")
-            seen.update((u, v))
-        if len(seen) != self.n_vertices or len(self.edges) != self.n_vertices // 2:
-            raise ValueError("not a perfect matching")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def relaxed_sparseness(self, partition: TuranPartition) -> tuple[bool, tuple[tuple[int, int], ...]]:
-        """Sparseness allowing one within-subset edge per enlarged subset.
-
-        Returns ``(ok, within_subset_edges)`` where ``ok`` demands exactly one
-        edge between every pair of distinct subsets and at most one edge
-        inside any single subset.
-        """
-        color = partition.color_of()
-        cross: dict[tuple[int, int], int] = {}
-        inside: dict[int, int] = {}
-        within = []
-        for u, v in self.edges:
-            cu, cv = color[u], color[v]
-            if cu == cv:
-                inside[cu] = inside.get(cu, 0) + 1
-                within.append((u, v))
-            else:
-                key = (min(cu, cv), max(cu, cv))
-                cross[key] = cross.get(key, 0) + 1
-        side = partition.n_subsets
-        ok = all(
-            cross.get((a, b), 0) == 1 for a in range(side) for b in range(a + 1, side)
-        ) and all(c <= 1 for c in inside.values())
-        return ok, tuple(sorted(within))
-
-
-def turan_side(n_modes: int) -> tuple[int, int]:
-    """Largest ``l`` with ``l(l+1) <= 2n`` and the leftover ``t = 2n - l(l+1)``."""
-    two_n = 2 * n_modes
-    side = 1
-    while (side + 1) * (side + 2) <= two_n:
-        side += 1
-    t = two_n - side * (side + 1)
-    if t % 2 != 0:
-        raise AssertionError("t must be even: 2n and l(l+1) are both even")
-    return side, t
-
-
-def build_partition(n_modes: int) -> TuranPartition:
-    """Contiguous partition into ``l+1`` subsets of size ``l`` or ``l+2``.
-
-    The ``t`` leftover vertices are placed in pairs, two per subset starting
-    from the first subset, so that every enlarged subset can carry a
-    within-subset matching edge.
-    """
-    side, t = turan_side(n_modes)
-    sizes = [side] * (side + 1)
-    for i in range(t // 2):
-        sizes[i] += 2
-    subsets = []
-    start = 1
-    for size in sizes:
-        subsets.append(tuple(range(start, start + size)))
-        start += size
-    return TuranPartition(2 * n_modes, tuple(subsets))
-
-
-def sparse_matching(side: int) -> PerfectMatching:
-    """Staircase sparsely arranged matching for ``2n = l(l+1)``.
-
-    The edge between subsets ``i < j`` joins vertex ``(i-1)l + (j-1)`` of
-    subset ``i`` to vertex ``(j-1)l + i`` of subset ``j``.
-    """
-    if side < 1:
-        raise ValueError("side must be >= 1")
-    edges = []
-    for i in range(1, side + 2):
-        for j in range(i + 1, side + 2):
-            edges.append(((i - 1) * side + (j - 1), (j - 1) * side + i))
-    return PerfectMatching(side * (side + 1), tuple(edges))
-
-
-def general_matching(
-    partition: TuranPartition, cores: list[tuple[int, ...]], extra_pairs: list[tuple[int, int] | None]
-) -> PerfectMatching:
-    """Staircase on the per-subset cores plus the within-subset extra edges."""
-    side = partition.n_subsets - 1
-    virtual = sparse_matching(side)
-    edges = []
-    for u, v in virtual.edges:
-        iu, pu = divmod(u - 1, side)
-        iv, pv = divmod(v - 1, side)
-        a, b = cores[iu][pu], cores[iv][pv]
-        edges.append((min(a, b), max(a, b)))
-    for pair in extra_pairs:
-        if pair is not None:
-            edges.append(pair)
-    return PerfectMatching(partition.n_vertices, tuple(edges))
-
-
-def pi_permutation(matching: PerfectMatching) -> np.ndarray:
-    """Permutation sending edge ``j`` (sorted order) onto the pair ``{2j-1, 2j}``.
-
-    Returned as a 0-based array ``perm`` with ``perm[v-1] = pi(v) - 1``; the
-    matching is recovered as ``{{pi^-1(2j-1), pi^-1(2j)}}``.
-    """
-    perm = np.empty(matching.n_vertices, dtype=np.int64)
-    for j, (u, v) in enumerate(matching.edges):
-        perm[u - 1] = 2 * j
-        perm[v - 1] = 2 * j + 1
-    return perm
-
-
-def sigma_permutation(
-    matching: PerfectMatching, partition: TuranPartition | None = None
-) -> np.ndarray:
-    """Involution swapping the endpoints of every matching edge (0-based array).
-
-    With a partition given, verifies the re-partition property: vertices of a
-    common subset land in pairwise distinct subsets, except for the endpoints
-    of a within-subset edge, which stay together.
-    """
-    perm = np.empty(matching.n_vertices, dtype=np.int64)
-    for u, v in matching.edges:
-        perm[u - 1] = v - 1
-        perm[v - 1] = u - 1
-    if partition is not None:
-        color = partition.color_of()
-        within = {
-            frozenset(e)
-            for e in matching.edges
-            if color[e[0]] == color[e[1]]
-        }
-        for sub in partition.subsets:
-            landing: dict[int, list[int]] = {}
-            for v in sub:
-                landing.setdefault(color[int(perm[v - 1]) + 1], []).append(v)
-            for dest, members in landing.items():
-                if len(members) > 1 and frozenset(members) not in within:
-                    raise ValueError(
-                        f"re-partition property violated: {members} all map to subset {dest}"
-                    )
-    return perm
-
-
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """Matrix ``P`` with ``P e_j = e_perm[j]``.
-
-    Then ``(P_pi @ D)`` has row ``i`` equal to row ``pi^-1(i)`` of ``D`` and
-    ``(D @ P_sigma)`` has column ``j`` equal to column ``sigma(j)`` of ``D``.
-    """
-    size = len(perm)
-    mat = np.zeros((size, size))
-    mat[perm, np.arange(size)] = 1.0
-    return mat
-
-
-def permutation_cycles(perm: np.ndarray) -> list[tuple[int, ...]]:
-    """Cycle decomposition with 1-based labels, fixed points included."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = int(perm[start])
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = int(perm[nxt])
-        cycles.append(tuple(v + 1 for v in cycle))
-    return cycles
 
 
 def diag_index_sets(n_modes: int, half_degree: int) -> list[tuple[int, ...]]:
@@ -375,8 +146,7 @@ def minor_dets(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
-class CoverageRow:
+class CoverageRow(NamedTuple):
     subset: tuple[int, ...]
     r: int | None  # 1-based matrix index, None if uncovered
     rows: tuple[int, ...] | None
@@ -490,179 +260,6 @@ class _SupportRank:
         return at
 
 
-@dataclass(frozen=True)
-class MeasurementEnsemble:
-    """A finite family of orthogonal rotations sampled with weight 1/N each.
-
-    The partition and permutation fields carry the provenance of the
-    structured constructions; ensembles assembled from arbitrary rotations
-    (see :func:`custom_ensemble`) leave them unset.  ``coverage`` is the
-    :class:`MinorTable` of the rotations, scanned on first access, so
-    consumers that never read coverage never scan.
-    """
-
-    n_modes: int
-    degree_k: int  # half-degree: the ensemble targets degree-2k observables
-    matrices: tuple[OrthogonalMatrix, ...]
-    partition: TuranPartition | None = None
-    pi: np.ndarray | None = None
-    sigmas: tuple[np.ndarray | None, ...] | None = None
-    seed: int | None = None
-    retries: int = 0
-    block_min_entry: float = 0.0
-    within_pairs: tuple[tuple[int, int], ...] = ()
-
-    @cached_property
-    def coverage(self) -> MinorTable:
-        return scan_minors(self.arrays(), self.n_modes, self.degree_k)
-
-    @property
-    def n_matrices(self) -> int:
-        return len(self.matrices)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [m.entries for m in self.matrices]
-
-
-def _best_block_pair(block: LowerFlatMatrix) -> tuple[tuple[int, int], tuple[int, int], float]:
-    """Row pair, column pair and value of the largest 2x2 minor of the block."""
-    f = block.entries
-    size = block.size
-    best = ((0, 1), (0, 1), -1.0)
-    for rows in itertools.combinations(range(size), 2):
-        sub = f[list(rows), :]
-        for cols in itertools.combinations(range(size), 2):
-            val = abs(sub[0, cols[0]] * sub[1, cols[1]] - sub[0, cols[1]] * sub[1, cols[0]])
-            if val > best[2] + 1e-15:
-                best = (rows, cols, val)
-    return best
-
-
-def _fix_block_columns(block: LowerFlatMatrix, rows, cols) -> LowerFlatMatrix:
-    """Permute columns so the chosen minor sits on the ``rows x rows`` positions."""
-    perm = list(range(block.size))
-
-    def place(pos, val):
-        cur = perm.index(val)
-        perm[pos], perm[cur] = perm[cur], perm[pos]
-
-    place(rows[0], cols[0])
-    place(rows[1], cols[1])
-    return LowerFlatMatrix(block.entries[:, perm])
-
-
-def _blocks_and_extras(partition: TuranPartition):
-    """Lower-flat block per subset plus core labels and within-subset pairs.
-
-    Enlarged subsets (size ``l+2``) reserve two vertices that are matched to
-    each other; the block columns are permuted so the reserved pair's own
-    2x2 minor attains the block's best value, which orthogonality forces to
-    be at least twice the squared smallest entry.
-    """
-    side = partition.n_subsets - 1
-    blocks: list[LowerFlatMatrix] = []
-    cores: list[tuple[int, ...]] = []
-    extra_pairs: list[tuple[int, int] | None] = []
-    for sub in partition.subsets:
-        block = lower_flat(len(sub))
-        if len(sub) == side:
-            blocks.append(block)
-            cores.append(tuple(sub))
-            extra_pairs.append(None)
-            continue
-        rows, cols, _ = _best_block_pair(block)
-        if cols != rows:
-            block = _fix_block_columns(block, rows, cols)
-        pair = (sub[rows[0]], sub[rows[1]])
-        blocks.append(block)
-        cores.append(tuple(v for v in sub if v not in pair))
-        extra_pairs.append(pair)
-    return blocks, cores, extra_pairs
-
-
-def _block_diagonal(blocks: list[LowerFlatMatrix], size: int) -> np.ndarray:
-    d = np.zeros((size, size))
-    at = 0
-    for b in blocks:
-        d[at : at + b.size, at : at + b.size] = b.entries
-        at += b.size
-    return d
-
-
-def _base_rotation(n_modes: int):
-    """The pieces shared by both ensemble builders: O1 = P_pi D and friends."""
-    partition = build_partition(n_modes)
-    blocks, cores, extra_pairs = _blocks_and_extras(partition)
-    matching = general_matching(partition, cores, extra_pairs)
-    sparse_ok, within_edges = matching.relaxed_sparseness(partition)
-    if not sparse_ok or set(within_edges) != {p for p in extra_pairs if p}:
-        raise AssertionError("matching lost the sparse arrangement")
-    pi = pi_permutation(matching)
-    d = _block_diagonal(blocks, 2 * n_modes)
-    o1 = permutation_matrix(pi) @ d
-    min_entry = min(b.min_abs_entry for b in blocks)
-    within = tuple(sorted(p for p in extra_pairs if p is not None))
-    return partition, blocks, matching, pi, o1, min_entry, within
-
-
-def degree2_ensemble(n_modes: int) -> MeasurementEnsemble:
-    """The two-rotation ensemble jointly measuring all degree-2 observables.
-
-    For ``n = 1`` a single rotation already covers the unique observable and
-    the ensemble has one matrix.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    partition, blocks, matching, pi, o1, min_entry, within = _base_rotation(n_modes)
-    if n_modes == 1:
-        matrices = (OrthogonalMatrix(o1),)
-        sigmas: tuple[np.ndarray | None, ...] = (None,)
-    else:
-        sigma = sigma_permutation(matching, partition)
-        o2 = o1 @ permutation_matrix(sigma)
-        matrices = (OrthogonalMatrix(o1), OrthogonalMatrix(o2))
-        sigmas = (None, sigma)
-    ensemble = MeasurementEnsemble(
-        n_modes=n_modes,
-        degree_k=1,
-        matrices=matrices,
-        partition=partition,
-        pi=pi,
-        sigmas=sigmas,
-        block_min_entry=min_entry,
-        within_pairs=within,
-    )
-    _certify_degree2(ensemble.coverage, blocks, partition, within, ensemble.sigmas[-1])
-    return ensemble
-
-
-def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
-    """Check every pair meets the sharpness bound of its guaranteed route.
-
-    Cross-subset pairs are covered by the first rotation at a product of two
-    lower-flat entries; same-subset pairs by the second rotation at a product
-    taken in the blocks their sigma-images land in; the reserved extra pairs
-    by the orthogonality-forced minor, worth twice the squared smallest entry
-    of their block.
-    """
-    color = partition.color_of()
-    within = {frozenset(p) for p in within_pairs}
-    for row in coverage.rows:
-        a, b = row.subset
-        ca, cb = color[a], color[b]
-        if frozenset(row.subset) in within:
-            bound = 2.0 * blocks[ca].min_abs_entry ** 2
-        elif ca == cb:
-            ia, ib = color[int(sigma[a - 1]) + 1], color[int(sigma[b - 1]) + 1]
-            bound = blocks[ia].min_abs_entry * blocks[ib].min_abs_entry
-        else:
-            bound = blocks[ca].min_abs_entry * blocks[cb].min_abs_entry
-        if row.r is None or row.eta < bound - 1e-12:
-            raise CoverageError(
-                f"pair {row.subset} covered at {row.eta:.3e}, below bound {bound:.3e}"
-            )
-
-
 def _combinations(n_items: int, size: int) -> np.ndarray:
     """Every ``size``-subset of ``range(n_items)`` in combinations order, as a ``(count, size)`` array.
 
@@ -746,14 +343,6 @@ def _pair_chunks(bounds, chunk: int):
             flat = np.arange(start, min(start + chunk, total))
             at = np.searchsorted(ends, flat, side="right")
             yield layer[at], order[flat + shift[at]]
-
-
-def _column_permutation(base: np.ndarray, o: np.ndarray) -> np.ndarray | None:
-    """``p`` with ``o[:, c] == base[:, p[c]]`` for every column ``c``, else None."""
-    match = (o.T[:, None, :] == base.T[None, :, :]).all(axis=2)
-    p = match.argmax(axis=1)
-    # orthogonal columns are distinct, so a full match is a permutation
-    return p if match[np.arange(len(p)), p].all() else None
 
 
 def _odd_inversions(labels: np.ndarray) -> np.ndarray:
@@ -869,10 +458,37 @@ def scan_minors(arrays, n_modes: int, half_degree: int) -> MinorTable:
     return MinorTable(sets, best, minors)
 
 
-def is_generated(subset, partition_blocks) -> bool:
-    """True when no two elements of ``subset`` fall in one partition block."""
-    colors = [partition_blocks[v] for v in subset]
-    return len(set(colors)) == len(colors)
+def degree2_ensemble(n_modes: int) -> MeasurementEnsemble:
+    """The two-rotation ensemble jointly measuring all degree-2 observables.
+
+    For ``n = 1`` a single rotation already covers the unique observable and
+    the ensemble has one matrix.
+    """
+    from majorana_jm.turan import _base_rotation, _certify_degree2, permutation_matrix, sigma_permutation
+
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    partition, blocks, matching, pi, o1, min_entry, within = _base_rotation(n_modes)
+    if n_modes == 1:
+        matrices = (OrthogonalMatrix(o1),)
+        sigmas: tuple[np.ndarray | None, ...] = (None,)
+    else:
+        sigma = sigma_permutation(matching, partition)
+        o2 = o1 @ permutation_matrix(sigma)
+        matrices = (OrthogonalMatrix(o1), OrthogonalMatrix(o2))
+        sigmas = (None, sigma)
+    ensemble = MeasurementEnsemble(
+        n_modes=n_modes,
+        degree_k=1,
+        matrices=matrices,
+        partition=partition,
+        pi=pi,
+        sigmas=sigmas,
+        block_min_entry=min_entry,
+        within_pairs=within,
+    )
+    _certify_degree2(ensemble.coverage, blocks, partition, within, ensemble.sigmas[-1])
+    return ensemble
 
 
 def degree2k_ensemble(
@@ -892,6 +508,8 @@ def degree2k_ensemble(
     (:func:`_image_ranks`); the ensemble's table is the scan of its final
     rotations, the one that ``validate`` and ``sharpness`` repeat.
     """
+    from majorana_jm.turan import _base_rotation, permutation_matrix, turan_side
+
     if half_degree < 1:
         raise ValueError("half_degree must be >= 1")
     side, _ = turan_side(n_modes)
@@ -947,58 +565,3 @@ def degree2k_ensemble(
             f"min sharpness {table.min_eta:.3e} below bound {threshold:.3e}"
         )
     return ensemble
-
-
-def custom_ensemble(
-    n_modes: int, half_degree: int, matrices, seed: int | None = None
-) -> MeasurementEnsemble:
-    """Wrap arbitrary orthogonal rotations as an ensemble.
-
-    Its coverage is scanned on first access.  Supports with all-zero minors
-    are tolerated here (its ``uncovered`` lists them); estimation rejects
-    uncovered targets downstream.
-    """
-    mats = tuple(
-        m if isinstance(m, OrthogonalMatrix) else OrthogonalMatrix(np.asarray(m, dtype=float))
-        for m in matrices
-    )
-    return MeasurementEnsemble(n_modes=n_modes, degree_k=half_degree, matrices=mats, seed=seed)
-
-
-def partition_failure_prob(side: int, half_degree: int) -> float:
-    """Probability a uniform partition fails to separate a fixed 2k-set.
-
-    Exact value ``1 - l^{2k} C(l+1, 2k) / C(l(l+1), 2k)`` for the Turan
-    graph on ``2n = l(l+1)`` vertices.
-    """
-    from fractions import Fraction  # only this reproduction needs it
-
-    if side < 1:
-        raise ValueError("side must be >= 1")
-    if 2 * half_degree > side + 1:
-        raise ValueError("need 2k <= l + 1")
-    two_n = side * (side + 1)
-    num = Fraction(side ** (2 * half_degree)) * math.comb(side + 1, 2 * half_degree)
-    prob = 1 - num / math.comb(two_n, 2 * half_degree)
-    return float(prob)
-
-
-def random_partition(side: int, rng) -> np.ndarray:
-    """Uniform partition of ``{0..l(l+1)-1}`` into ``l+1`` blocks of size ``l``.
-
-    Returned as an array mapping vertex (0-based) to block index.
-    """
-    two_n = side * (side + 1)
-    perm = rng.permutation(two_n)
-    colors = np.empty(two_n, dtype=np.int64)
-    colors[perm] = np.arange(two_n) // side
-    return colors
-
-
-def random_partition_batch(side: int, trials: int, rng) -> np.ndarray:
-    """``trials`` independent uniform partitions, one color row each."""
-    two_n = side * (side + 1)
-    ranks = np.argsort(rng.random((trials, two_n)), axis=1)
-    colors = np.empty((trials, two_n), dtype=np.int64)
-    np.put_along_axis(colors, ranks, np.broadcast_to(np.arange(two_n) // side, (trials, two_n)), axis=1)
-    return colors

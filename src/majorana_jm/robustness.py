@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from majorana_jm.baselines import ho_bound, ho_bound_proven, shadow_jm_bound, thm2_upper_bound
+
 __all__ = [
     "SignSection",
     "TournamentMatrix",
@@ -39,17 +41,10 @@ __all__ = [
     "robustness_bruteforce",
     "exact_robustness",
     "degree2_norm",
-    "tournament_from_section",
     "section_from_tournament",
-    "tournament_bound_check",
-    "random_tournament",
     "appendix_tournament_4",
     "skew_hadamard_search",
     "SkewHadamardResult",
-    "exhaustive_tournament_max",
-    "ho_bound",
-    "ho_bound_proven",
-    "thm2_upper_bound",
     "build_report",
 ]
 
@@ -74,12 +69,6 @@ class SignSection:
             raise ValueError(f"need {count} signs")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +-1")
-
-    @property
-    def supports(self) -> list[tuple[int, ...]]:
-        from majorana_jm.algebra import subsets_of_size
-
-        return subsets_of_size(2 * self.n_modes, self.degree)
 
     def __str__(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.signs)
@@ -125,17 +114,6 @@ def _spectral_sum(vals: np.ndarray) -> np.ndarray:
     return np.abs(vals).sum(axis=-1) / 2.0
 
 
-def tournament_from_section(section: SignSection) -> TournamentMatrix:
-    if section.degree != 2:
-        raise ValueError("tournaments encode degree-2 sections")
-    size = 2 * section.n_modes
-    arr = np.zeros((size, size))
-    for sign, (i, j) in zip(section.signs, section.supports):
-        arr[i - 1, j - 1] = sign
-        arr[j - 1, i - 1] = -sign
-    return TournamentMatrix(arr)
-
-
 def section_from_tournament(t: TournamentMatrix) -> SignSection:
     size = t.size
     if size % 2:
@@ -156,19 +134,6 @@ def degree2_norm(t: TournamentMatrix) -> tuple[float, np.ndarray]:
     """
     vals = np.linalg.eigvalsh(1j * t.entries)
     return float(_spectral_sum(vals)), vals[vals.shape[0] // 2 :]
-
-
-def tournament_bound_check(t: TournamentMatrix) -> float:
-    """Margin of the spectral bound ``n sqrt(2n-1)``; nonnegative up to roundoff."""
-    size = t.size
-    total, _ = degree2_norm(t)
-    return (size / 2.0) * math.sqrt(size - 1.0) - total
-
-
-def random_tournament(size: int, rng) -> TournamentMatrix:
-    upper = rng.choice((-1.0, 1.0), size=(size, size))
-    arr = np.triu(upper, k=1)
-    return TournamentMatrix(arr - arr.T)
 
 
 def appendix_tournament_4() -> TournamentMatrix:
@@ -272,48 +237,6 @@ def skew_hadamard_search(order: int) -> SkewHadamardResult:
     if order == _FIRST_OPEN_SKEW_ORDER:
         return SkewHadamardResult(order, "open", None, "first undecided order")
     return SkewHadamardResult(order, "unknown", None, "beyond the existence table")
-
-
-def exhaustive_tournament_max(size: int):
-    """Exact maximum of the spectral sum over every tournament of a size.
-
-    Searches the degree-2 sections of ``size / 2`` modes, where player 1
-    beats everyone (a diagonal +-1 conjugation reaches every tournament);
-    practical up to size 6 (1,024 matrices).
-    """
-    if size % 2:
-        raise ValueError("need an even number of players")
-    found = _search(size // 2, 2, BRUTE_FORCE_BUDGET)
-    if found is None:
-        raise ValueError("exhaustive search practical only for size <= 6")
-    best, signs = found
-    return best, tournament_from_section(SignSection(size // 2, 2, signs))
-
-
-def ho_bound(n_modes: int, half_degree: int) -> float:
-    """Spectral upper bound ``sqrt(C(n,k)/C(2n,2k))`` on the robustness."""
-    if half_degree < 1:
-        raise ValueError("half_degree must be >= 1")
-    return math.sqrt(
-        math.comb(n_modes, half_degree) / math.comb(2 * n_modes, 2 * half_degree)
-    )
-
-
-def ho_bound_proven(half_degree: int) -> bool:
-    """The bound is proven for half-degree at most 5, conjectured beyond."""
-    return half_degree <= 5
-
-
-def thm2_upper_bound(n_modes: int, degree: int) -> float | None:
-    """Best proven upper bound on the degree-k robustness, None if unproven."""
-    if degree % 2:
-        return None
-    half = degree // 2
-    if half == 1:
-        return 1.0 / math.sqrt(2 * n_modes - 1)
-    if ho_bound_proven(half):
-        return ho_bound(n_modes, half)
-    return None
 
 
 @dataclass(frozen=True)
@@ -515,8 +438,6 @@ def build_report(
         half = degree // 2
         bounds["ho_value"] = ho_bound(n_modes, half)
         bounds["ho_conjectured"] = not ho_bound_proven(half)
-        from majorana_jm.baselines import shadow_jm_bound
-
         bounds["shadow_lower"] = shadow_jm_bound(n_modes, half)
         bounds["construction_lower"] = _construction_lower(n_modes, half)
     else:
@@ -534,7 +455,8 @@ def _construction_lower(n_modes: int, half_degree: int) -> float | None:
     a true joint-measurability witness and hence a lower bound.  The
     randomized construction runs with seed 0.
     """
-    from majorana_jm.matching import CoverageError, degree2_ensemble, degree2k_ensemble
+    from majorana_jm.ensemble import CoverageError
+    from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
 
     try:
         if half_degree == 1:

@@ -35,7 +35,7 @@ per group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,8 +49,8 @@ from majorana_jm.algebra import (
     monomial_trace,
     parity,
 )
+from majorana_jm.ensemble import COVERAGE_TOL, MeasurementEnsemble, UncoveredTargetError, _column_permutation
 from majorana_jm.gaussian import compile_gaussian_unitary
-from majorana_jm.matching import COVERAGE_TOL, MeasurementEnsemble, _column_permutation
 
 if TYPE_CHECKING:  # simulate never loads povm; the functions that use it import it
     from majorana_jm.povm import SharpnessTable
@@ -60,7 +60,6 @@ __all__ = [
     "ShotBatch",
     "HamiltonianSpec",
     "EstimationRecord",
-    "UncoveredTargetError",
     "simulate_shots",
     "shot_probability_table",
     "estimate_expectations",
@@ -68,39 +67,31 @@ __all__ = [
     "exact_expectations",
     "analytic_estimates",
     "predicted_variance",
-    "degree1_variance",
-    "simulate_degree1_shots",
-    "sample_complexity",
 ]
 
 
-class UncoveredTargetError(ValueError):
-    """An estimation target has zero sharpness under every rotation."""
+class FermionicState(namedtuple("FermionicState", "n_modes vector density_matrix")):
+    """Pure vector or density matrix on n modes (2^n dimensions).
 
+    A tuple ``(n_modes, vector, density_matrix)``; exactly one of the last two is set.
+    """
 
-@dataclass(frozen=True)
-class FermionicState:
-    """Pure vector or density matrix on n modes (2^n dimensions)."""
+    __slots__ = ()
 
-    n_modes: int
-    vector: np.ndarray | None = None
-    density_matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        dim = 2 ** self.n_modes
-        if (self.vector is None) == (self.density_matrix is None):
+    def __new__(cls, n_modes: int, vector=None, density_matrix=None):
+        dim = 2 ** n_modes
+        if (vector is None) == (density_matrix is None):
             raise ValueError("give exactly one of vector or density_matrix")
-        if self.vector is not None:
-            vec = np.asarray(self.vector, dtype=complex).reshape(-1)
-            if vec.shape != (dim,):
+        if vector is not None:
+            vector = np.asarray(vector, dtype=complex).reshape(-1)
+            if vector.shape != (dim,):
                 raise ValueError("vector dimension mismatch")
-            norm = np.linalg.norm(vec)
+            norm = np.linalg.norm(vector)
             if abs(norm - 1.0) > 1e-10:
                 raise ValueError("state vector must be normalized")
-            vec.setflags(write=False)
-            object.__setattr__(self, "vector", vec)
+            vector.setflags(write=False)
         else:
-            rho = np.asarray(self.density_matrix, dtype=complex)
+            density_matrix = rho = np.asarray(density_matrix, dtype=complex)
             if rho.shape != (dim, dim):
                 raise ValueError("density matrix dimension mismatch")
             if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
@@ -110,7 +101,7 @@ class FermionicState:
             if np.linalg.eigvalsh(rho)[0] < -1e-10:
                 raise ValueError("density matrix must be positive semidefinite")
             rho.setflags(write=False)
-            object.__setattr__(self, "density_matrix", rho)
+        return super().__new__(cls, n_modes, vector, density_matrix)
 
     @property
     def is_pure(self) -> bool:
@@ -145,14 +136,16 @@ class FermionicState:
         return cls(n_modes, vector=vec / np.linalg.norm(vec))
 
 
-@dataclass
 class ShotBatch:
-    """Columnar shot storage, one row per shot."""
+    """Columnar shot storage, one row per shot.
 
-    n_modes: int
-    r: np.ndarray  # (L,) 1-based
-    conj_mask: np.ndarray  # (L,) uint64
-    q_bits: np.ndarray  # (L,) uint64, bit j = (1 - q_j)/2
+    ``r`` holds the 1-based rotation indices, ``conj_mask`` the uint64
+    conjugation supports and ``q_bits`` the uint64 packed outcomes, bit
+    ``j = (1 - q_j)/2``; each has shape ``(L,)``.
+    """
+
+    def __init__(self, n_modes: int, r: np.ndarray, conj_mask: np.ndarray, q_bits: np.ndarray):
+        self.n_modes, self.r, self.conj_mask, self.q_bits = n_modes, r, conj_mask, q_bits
 
     def __len__(self) -> int:
         return len(self.r)
@@ -252,7 +245,7 @@ def _born_cdfs(blocks, signs, weights, rows, flip, zmask) -> np.ndarray:
 def _permuted(rows: np.ndarray, masks: np.ndarray, perm: np.ndarray):
     """Eigen-rows and group masks of the rotation ``O_b Q`` under the base's unitary.
 
-    ``perm`` is ``matching._column_permutation`` of ``O_b Q`` against
+    ``perm`` is ``ensemble._column_permutation`` of ``O_b Q`` against
     ``O_b``, so ``U(O_b Q) ~ U(O_b) U(Q)`` and
     ``U(Q) gamma_m U(Q)^dag = gamma_perm[m]``: the group of mask ``X``
     becomes the base's group of ``perm(X)`` on the rows ``U(Q) v_j``, with
@@ -433,17 +426,15 @@ def _filled_signs(batch: ShotBatch, table: SharpnessTable, subset, rng):
     return signs, eta
 
 
-@dataclass(frozen=True)
-class EstimationRecord:
-    target: object
-    estimate: float
-    shots: int
-    stderr: float
-    predicted_variance: float | None = None
+class EstimationRecord(namedtuple("EstimationRecord", "target estimate shots stderr predicted_variance")):
+    """One target's estimate and standard error, as a tuple of these fields."""
 
-    def __post_init__(self):
-        if self.stderr < 0:
+    __slots__ = ()
+
+    def __new__(cls, target, estimate, shots, stderr, predicted_variance=None):
+        if stderr < 0:
             raise ValueError("standard error must be nonnegative")
+        return super().__new__(cls, target, estimate, shots, stderr, predicted_variance)
 
 
 def estimate_expectations(
@@ -465,16 +456,18 @@ def estimate_expectations(
     return records
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Real combination of even-degree observables."""
+class HamiltonianSpec(namedtuple("HamiltonianSpec", "terms")):
+    """Real combination of even-degree observables: ``terms`` holds ``(support, coefficient)`` pairs.
 
-    terms: tuple[tuple[tuple[int, ...], float], ...]
+    A one-field tuple.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, terms):
         seen = set()
         normalized = []
-        for subset, coeff in self.terms:
+        for subset, coeff in terms:
             key = tuple(sorted(subset))
             if len(key) % 2:
                 raise ValueError("only even-degree terms are allowed")
@@ -482,7 +475,7 @@ class HamiltonianSpec:
                 raise ValueError(f"duplicate term {key}")
             seen.add(key)
             normalized.append((key, float(coeff)))
-        object.__setattr__(self, "terms", tuple(normalized))
+        return super().__new__(cls, tuple(normalized))
 
     def expectation(self, state: FermionicState) -> float:
         return sum(c * state.expectation(s) for s, c in self.terms)
@@ -582,64 +575,3 @@ def predicted_variance(ham: HamiltonianSpec, table: SharpnessTable, state: Fermi
             sd = tuple(sorted(set(s1) ^ set(s2)))
             total += c1 * c2 * coeff * state.expectation(sd) / abs(nu1 * nu2)
     return total - ham.expectation(state) ** 2
-
-
-def degree1_variance(coeffs, state: FermionicState) -> float:
-    """Variance of the optimal uniform degree-1 estimator: 2n sum a^2 - tr^2."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n2 = len(coeffs)
-    mean = sum(
-        c * state.expectation([j + 1]) for j, c in enumerate(coeffs) if c != 0.0
-    )
-    return float(n2 * np.sum(coeffs ** 2) - mean ** 2)
-
-
-def simulate_degree1_shots(state: FermionicState, n_shots: int, rng):
-    """Shots of the optimal uniform degree-1 parent.
-
-    Rotates the first generator onto ``sum_j gamma_j / sqrt(2n)``, conjugates
-    by a uniform monomial and measures the single binary outcome; returns
-    the per-shot sign strings ``e_j = q * x_j`` as an (L, 2n) array.
-    """
-    from majorana_jm.povm import x_string_from_subset
-
-    n = state.n_modes
-    two_n = 2 * n
-    eta = 1.0 / math.sqrt(two_n)
-    target = np.full(two_n, eta)
-    basis = np.linalg.qr(
-        np.column_stack([target, np.eye(two_n)[:, 1:]])
-    )[0]
-    o = basis.T.copy()
-    if o[0, 0] * target[0] < 0:
-        o[0] = -o[0]
-    u = compile_gaussian_unitary(o, n)
-    rotated = u.conj().T @ apply_monomial(canonical_monomial(n, [1]), u)
-    weights, rows = _eigenstates(state)
-    masks = rng.integers(0, 2 ** two_n, size=n_shots, dtype=np.uint64)
-    distinct, inverse = np.unique(masks, return_inverse=True)
-    means = np.empty(len(distinct))
-    step = _block_size(rows)
-    for b in range(0, len(distinct), step):
-        # tr(gamma_X^dag R gamma_X rho) = sum_j w_j <gamma_X v_j| R |gamma_X v_j>
-        block = _conjugated(rows, *_mask_bits(distinct[b : b + step], n))
-        means[b : b + step] = weights @ np.real(np.sum(block.conj() * (block @ rotated.T), axis=-1))
-    p_plus = (1.0 + means[inverse]) / 2.0
-    qs = np.where(rng.random(n_shots) < p_plus, 1, -1).astype(np.int8)[:, None]
-    return qs * x_string_from_subset(masks, n)
-
-
-def sample_complexity(
-    n_modes: int, half_degree: int, epsilon: float, delta: float, eta: float
-) -> int:
-    """Shots guaranteeing epsilon-accurate estimates for all degree-2k targets.
-
-    Hoeffding with a union bound over the C(2n, 2k) observables:
-    ``ceil(2 ln(2 C(2n,2k) / delta) / (epsilon * eta)^2)``.
-    """
-    if not 0 < epsilon < 1 or not 0 < delta <= 1:
-        raise ValueError("epsilon in (0,1), delta in (0,1]")
-    if not 0 < eta <= 1:
-        raise ValueError("eta in (0,1]")
-    count = math.comb(2 * n_modes, 2 * half_degree)
-    return math.ceil(2.0 * math.log(2.0 * count / delta) / (epsilon * eta) ** 2)

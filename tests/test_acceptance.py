@@ -10,40 +10,33 @@ import time
 import numpy as np
 import pytest
 
-from majorana_jm.algebra import (
+from majorana_jm.algebra import canonical_monomial, subsets_of_size
+from majorana_jm.baselines import ho_bound, shadow_jm_bound
+from majorana_jm.effects import parent_validate
+from majorana_jm.gaussian import random_orthogonal
+from majorana_jm.matching import degree2_ensemble
+from majorana_jm.paper import (
     braid_conjugate,
     braid_stabilizer_unitaries,
     braiding_recipe,
-    canonical_monomial,
     commutant_dimension,
-    subsets_of_size,
-)
-from majorana_jm.baselines import shadow_jm_bound, shadow_norm
-from majorana_jm.gaussian import random_orthogonal
-from majorana_jm.matching import (
-    degree2_ensemble,
+    exhaustive_tournament_max,
     partition_failure_prob,
     random_partition_batch,
-)
-from majorana_jm.povm import parent_validate, sharpness_table
-from majorana_jm.robustness import (
-    appendix_tournament_4,
-    degree2_norm,
-    exhaustive_tournament_max,
-    ho_bound,
     random_tournament,
-    robustness_bruteforce,
     tournament_bound_check,
 )
+from majorana_jm.povm import sharpness_table
+from majorana_jm.robustness import appendix_tournament_4, degree2_norm, robustness_bruteforce
 from majorana_jm.sampling import (
     FermionicState,
     HamiltonianSpec,
-    degree1_variance,
+    _filled_signs,
     estimate_expectations,
-    simulate_degree1_shots,
     simulate_shots,
 )
-from majorana_jm.sampling import _filled_signs
+
+from oracles import degree1_variance, simulate_degree1_shots
 
 PRINTED_O1 = np.array(
     [
@@ -128,7 +121,8 @@ def test_criterion_04_parent_validity():
 
 def test_criterion_05_gaussian_compilation():
     from majorana_jm.algebra import dense_matrix
-    from majorana_jm.gaussian import compile_gaussian_unitary, minor_expansion_check
+    from majorana_jm.gaussian import compile_gaussian_unitary
+    from oracles import minor_expansion_check
 
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -185,7 +179,7 @@ def test_criterion_07_estimator_statistics():
     assert worst_dev < 4.0
 
     # variance against the closed formula in the single-rotation setting
-    from majorana_jm.matching import custom_ensemble
+    from majorana_jm.ensemble import custom_ensemble
     from majorana_jm.sampling import predicted_variance
 
     o = random_orthogonal(2 * n, rng)
@@ -279,11 +273,11 @@ def test_criterion_10_baseline_consistency():
     for n in range(1, 51):
         assert ho_bound(n, 1) == pytest.approx(1 / math.sqrt(2 * n - 1), abs=1e-14)
         for k in range(1, min(n, 5) + 1):
-            assert shadow_norm(n, k) * ho_bound(n, k) == pytest.approx(1.0, abs=1e-12)
+            assert ho_bound(n, k) ** 2 == pytest.approx(shadow_jm_bound(n, k), rel=1e-12)
     value = robustness_bruteforce(2, 2).value
     assert shadow_jm_bound(2, 1) == pytest.approx(1 / 3, abs=1e-15)
     assert shadow_jm_bound(2, 1) <= value + 1e-12
-    report(10, "ho(n,1) = 1/sqrt(2n-1) for n <= 50; shadow_norm * ho = 1; 1/3 <= 1/sqrt(3)")
+    report(10, "ho(n,1) = 1/sqrt(2n-1) for n <= 50; ho^2 = shadow threshold; 1/3 <= 1/sqrt(3)")
 
 
 def test_criterion_11_symmetry():

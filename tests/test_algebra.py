@@ -9,26 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorana_jm.algebra import (
-    BraidElement,
     ScaledMonomial,
     apply_monomial,
-    braid_conjugate,
-    braid_stabilizer_unitaries,
-    braid_unitary,
-    braiding_recipe,
     canonical_monomial,
-    commutant_dimension,
-    commutation_sign,
     dense_matrix,
-    identity_monomial,
     monomial_action,
     monomial_bits,
     monomial_from_str,
     monomial_product,
-    monomial_trace,
     monomial_to_str,
-    pauli_dense,
+    monomial_trace,
     subsets_of_size,
+)
+from majorana_jm.paper import (
+    BraidElement,
+    braid_conjugate,
+    braid_stabilizer_unitaries,
+    braid_unitary,
+    braiding_recipe,
+    commutant_dimension,
+    commutation_sign,
+    pauli_dense,
     to_pauli,
 )
 
@@ -63,6 +64,12 @@ class TestCanonical:
         with pytest.raises(ValueError):
             canonical_monomial(2, 1 << 4)
 
+    def test_monomial_is_not_a_support(self):
+        # a monomial is a tuple of ints; reading it as indices would pick wrong generators
+        m = canonical_monomial(3, [1, 2])
+        with pytest.raises(TypeError, match="not a monomial"):
+            canonical_monomial(3, m)
+
     def test_trace_orthogonality(self):
         n = 3
         monos = [canonical_monomial(n, s) for k in range(0, 5) for s in subsets_of_size(2 * n, k)]
@@ -76,7 +83,7 @@ class TestCanonical:
 class TestProduct:
     def test_square_is_identity(self):
         m = canonical_monomial(2, [1])
-        assert monomial_product(m, m) == identity_monomial(2)
+        assert monomial_product(m, m) == ScaledMonomial(2, 0, 0)
 
     def test_pair_product_example(self):
         # gamma_{12} * gamma_{23} = i * gamma_{13}; frozen from the dense 4x4 oracle
@@ -374,7 +381,7 @@ class TestTextFormat:
         assert monomial_from_str(text, 3) == m
 
     def test_identity(self):
-        m = identity_monomial(2)
+        m = ScaledMonomial(2, 0, 0)
         assert monomial_to_str(m) == "+1*gamma[]"
         assert monomial_from_str("gamma[]", 2) == m
 

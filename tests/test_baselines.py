@@ -7,13 +7,12 @@ import pytest
 from majorana_jm.baselines import (
     MappingModel,
     comparison_rows,
-    jw_max_weight,
+    ho_bound,
     mapped_sharpness,
     qubit_parent_sharpness,
     shadow_jm_bound,
-    shadow_norm,
 )
-from majorana_jm.robustness import ho_bound
+from majorana_jm.paper import jw_max_weight
 
 
 class TestQubitParent:
@@ -87,15 +86,13 @@ class TestShadowFormulas:
     def test_examples(self):
         assert shadow_jm_bound(2, 1) == pytest.approx(1 / 3)
         assert shadow_jm_bound(4, 2) == pytest.approx(6 / 70)
-        assert shadow_norm(2, 1) == pytest.approx(math.sqrt(3))
-        assert shadow_norm(3, 1) == pytest.approx(math.sqrt(5))
+        assert shadow_jm_bound(3, 1) == pytest.approx(1 / 5)
 
     def test_norm_bound_reciprocity(self):
+        # the shadow variance norm is 1/sqrt(shadow_jm_bound), the reciprocal of ho_bound
         for n in range(1, 51):
             for k in range(1, min(n, 6) + 1):
-                assert shadow_norm(n, k) * ho_bound(n, k) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+                assert ho_bound(n, k) ** 2 == pytest.approx(shadow_jm_bound(n, k), rel=1e-12)
 
     def test_shadow_bound_below_ho(self):
         for n in range(1, 20):

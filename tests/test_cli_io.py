@@ -19,6 +19,15 @@ from majorana_jm.povm import sharpness_table
 from majorana_jm.sampling import FermionicState, HamiltonianSpec, simulate_shots
 
 
+def state_to_json(state):
+    """The state JSON that ``io.state_from_json`` reads, written for test inputs."""
+    if state.is_pure:
+        payload = {"amplitudes": [[v.real, v.imag] for v in state.vector]}
+    else:
+        payload = {"density": [[[v.real, v.imag] for v in row] for row in state.density_matrix]}
+    return json.dumps({"n_modes": state.n_modes, **payload}, sort_keys=True) + "\n"
+
+
 class TestMatrixText:
     def test_round_trip_full_precision(self):
         rng = np.random.default_rng(0)
@@ -78,7 +87,7 @@ class TestEnsembleArchive:
         assert io.write_ensemble_archive(path, ens) is None
         with zipfile.ZipFile(path) as zf:
             stored = zf.read("coverage.csv")
-        text = io.coverage_csv(ens.coverage)
+        text = "".join(io._coverage_csv_parts(ens.coverage))
         assert len(text.splitlines()) == 16
         assert stored == (tmp_path / "ens.zip.coverage.csv").read_bytes() == text.encode()
 
@@ -98,12 +107,12 @@ class TestEnsembleArchive:
 class TestStateJson:
     def test_pure_round_trip(self):
         state = FermionicState.random_pure(2, np.random.default_rng(1))
-        back = io.state_from_json(io.state_to_json(state))
+        back = io.state_from_json(state_to_json(state))
         assert np.allclose(back.vector, state.vector)
 
     def test_density_round_trip(self):
         state = FermionicState.maximally_mixed(2)
-        back = io.state_from_json(io.state_to_json(state))
+        back = io.state_from_json(state_to_json(state))
         assert np.allclose(back.density_matrix, state.density_matrix)
 
     def test_rejects_junk(self):
@@ -137,14 +146,14 @@ class TestShotLog:
 
 class TestCoverageAndSharpnessCsv:
     def test_exact_text_with_uncovered_supports(self):
-        from majorana_jm.matching import custom_ensemble
+        from majorana_jm.ensemble import custom_ensemble
 
         def rot(t):
             return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
         # the minors of (1,3) and (2,4) are round-off, so both are uncovered
         ens = custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))])
-        assert io.coverage_csv(ens.coverage) == (
+        assert "".join(io._coverage_csv_parts(ens.coverage)) == (
             "S,r,R,eta\n"
             '"[1,2]",1,"[1,2]",0.91266780745483911\n'
             '"[1,3]",,,0\n'
@@ -291,6 +300,11 @@ class TestCli:
         assert rep["method"] == "bound-only"
         assert rep["value"] is None and rep["section"] is None
 
+    def test_robustness_refuses_negative_budget(self, capsys):
+        assert self.run("robustness", "--n", "2", "--k", "1", "--budget", "-1") == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input: --budget must be at least 0, got -1" in captured.err
+
     @pytest.mark.parametrize(
         "n, k, method, value",
         [("4", "6", "parity-dual", 1 / math.sqrt(7)), ("6", "2", "skew-hadamard", 1 / math.sqrt(11))],
@@ -317,7 +331,7 @@ class TestCli:
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state = FermionicState.random_pure(2, np.random.default_rng(5))
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(state))
+        state_path.write_text(state_to_json(state))
         log = tmp_path / "shots.csv"
         code = self.run(
             "simulate", "--state", str(state_path), "--ensemble", str(ens),
@@ -343,7 +357,7 @@ class TestCli:
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state = FermionicState.random_pure(2, np.random.default_rng(8))
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(state))
+        state_path.write_text(state_to_json(state))
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps({"terms": [[[1, 2], 0.5], [[1, 3], -0.25]]}))
         rep_path = tmp_path / "est.json"
@@ -374,7 +388,7 @@ class TestCli:
         assert self.run("construct", "--n", "8", "--k", "1", "--out", str(ens)) == 0
         state = FermionicState.random_pure(8, np.random.default_rng(12))
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(state))
+        state_path.write_text(state_to_json(state))
         targets = [(1, 2), (3, 16), (5, 9), (1, 4, 7, 16)]
         rep_path = tmp_path / "est.json"
         code = self.run(
@@ -391,12 +405,12 @@ class TestCli:
 
     def test_estimate_uncovered_exit5(self, tmp_path, capsys):
         # identity-like single rotation covers only the standard pairs
-        from majorana_jm.matching import custom_ensemble
+        from majorana_jm.ensemble import custom_ensemble
 
         ens_path = tmp_path / "ident.zip"
         io.write_ensemble_archive(ens_path, custom_ensemble(2, 1, [np.eye(4)]))
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         code = self.run(
             "estimate", "--state", str(state_path), "--ensemble", str(ens_path),
             "--targets", "gamma[1,3]", "--shots", "0",
@@ -406,7 +420,7 @@ class TestCli:
 
     def test_estimate_round_off_minors_exit5(self, tmp_path, capsys):
         # the minors of support (1,3) under this rotation are round-off (~1e-17)
-        from majorana_jm.matching import custom_ensemble
+        from majorana_jm.ensemble import custom_ensemble
 
         def rot(t):
             return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
@@ -415,7 +429,7 @@ class TestCli:
         io.write_ensemble_archive(ens_path, custom_ensemble(2, 1, [np.kron(rot(0.3), rot(0.7))]))
         state_path = tmp_path / "state.json"
         state = FermionicState.random_pure(2, np.random.default_rng(1))
-        state_path.write_text(io.state_to_json(state))
+        state_path.write_text(state_to_json(state))
         for shots in ("0", "1000"):
             code = self.run(
                 "estimate", "--state", str(state_path), "--ensemble", str(ens_path),
@@ -432,7 +446,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         capsys.readouterr()
         monkeypatch.chdir(tmp_path)
         code = self.run(
@@ -451,6 +465,9 @@ class TestCli:
             ({"terms": [[[1, 1], 0.5]]}, "repeated index 1"),
             ({"term": [[[1, 2], 0.5]]}, "--hamiltonian needs a JSON object with a 'terms' list"),
             ({"terms": [[[], 1.0]]}, "target gamma[] needs an even degree of at least 2"),
+            # json reads NaN and Infinity, which would make the report invalid JSON
+            ({"terms": [[[1, 2], 0.5], [[1, 3], float("nan")]]}, "term gamma[1,3] has a non-finite coefficient nan"),
+            ({"terms": [[[2, 4], float("-inf")]]}, "term gamma[2,4] has a non-finite coefficient -inf"),
         ],
     )
     def test_estimate_rejects_bad_hamiltonian_terms(self, tmp_path, capsys, ham, message):
@@ -458,7 +475,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps(ham))
         capsys.readouterr()
@@ -476,7 +493,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         capsys.readouterr()
         code = self.run(
             "estimate", "--state", str(state_path), "--ensemble", str(ens),
@@ -503,7 +520,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         capsys.readouterr()
         code = self.run(
             "estimate", "--state", str(state_path), "--ensemble", str(ens),
@@ -518,7 +535,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         capsys.readouterr()
         code = self.run(
             "estimate", "--state", str(state_path), "--ensemble", str(ens),
@@ -534,7 +551,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps({"terms": []}))
         capsys.readouterr()
@@ -564,7 +581,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(3)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(3)))
         code = self.run(
             "estimate", "--state", str(state_path), "--ensemble", str(ens),
             "--targets", "gamma[1,2]", "--shots", "0",
@@ -642,7 +659,7 @@ class TestCli:
         ens = tmp_path / "ens.zip"
         assert self.run("construct", "--n", "2", "--k", "1", "--out", str(ens)) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         outs = []
         for tag in ("a", "b"):
             rep = tmp_path / f"est_{tag}.json"
@@ -665,8 +682,8 @@ class TestCli:
         assert rep["status"] == "budget-exceeded"
 
     def test_config_replaces_defaults_and_flags_still_win(self, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"k": 2, "shots": 500}))
+        conf = tmp_path / "construct.json"
+        conf.write_text(json.dumps({"k": 2}))
         archive = str(tmp_path / "ens.zip")
         for n, flags, k in (("6", (), 2), ("2", ("--k", "1"), 1)):
             assert self.run(
@@ -674,8 +691,10 @@ class TestCli:
             ) == 0
             assert json.loads(capsys.readouterr().out)["k"] == k
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.basis_state(2)))
+        state_path.write_text(state_to_json(FermionicState.basis_state(2)))
         rep = tmp_path / "est.json"
+        conf = tmp_path / "estimate.json"
+        conf.write_text(json.dumps({"shots": 500}))
         for flags, mode in (((), "sampled"), (("--shots", "0"), "exact")):
             assert self.run(
                 "estimate", "--state", str(state_path), "--ensemble", archive,
@@ -684,6 +703,25 @@ class TestCli:
             ) == 0
             report = json.loads(rep.read_text())
             assert report["mode"] == mode and report["shots"] == (500 if flags == () else 0)
+
+    @pytest.mark.parametrize(
+        "argv, conf, named",
+        [
+            (["compare", "--n-range", "2:3"], {"bogus": 3}, "'bogus'"),
+            (["robustness", "--n", "2", "--k", "2"], {"budget": 8, "shot": 10}, "'shot'"),
+            # a flag of another command is no flag of this one
+            (["construct", "--n", "2", "--out", "e.zip"], {"k": 1, "shots": 500}, "'shots'"),
+            # argparse checks required flags before the file is read
+            (["compare"], {"n-range": "2:3"}, "--n-range"),
+        ],
+    )
+    def test_config_refuses_keys_that_name_no_flag(self, tmp_path, capsys, monkeypatch, argv, conf, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conf.json").write_text(json.dumps(conf))
+        assert self.run(*argv, "--config", "conf.json") == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+        assert not (tmp_path / "e.zip").exists()
 
     def test_each_command_scans_minors_once(self, tmp_path, monkeypatch, capsys):
         from majorana_jm import matching, povm
@@ -730,7 +768,7 @@ class TestCli:
         archive = str(tmp_path / "ens.zip")
         assert self.run("construct", "--n", "3", "--k", "1", "--out", archive) == 0
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.random_pure(3, np.random.default_rng(4))))
+        state_path.write_text(state_to_json(FermionicState.random_pure(3, np.random.default_rng(4))))
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
         halves.clear()
@@ -751,7 +789,7 @@ class TestCli:
         # predicted_variance reads the estimate's own table instead of scanning the rotation again
         from majorana_jm import matching, povm
         from majorana_jm.gaussian import random_orthogonal
-        from majorana_jm.matching import custom_ensemble
+        from majorana_jm.ensemble import custom_ensemble
 
         halves = []
         scan_minors = matching.scan_minors
@@ -764,7 +802,7 @@ class TestCli:
         archive = tmp_path / "one.zip"
         io.write_ensemble_archive(archive, custom_ensemble(3, 1, [random_orthogonal(6, rng)]))
         state_path = tmp_path / "state.json"
-        state_path.write_text(io.state_to_json(FermionicState.random_pure(3, rng)))
+        state_path.write_text(state_to_json(FermionicState.random_pure(3, rng)))
         ham_path = tmp_path / "ham.json"
         ham_path.write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
         monkeypatch.setattr(matching, "scan_minors", counted)
@@ -793,7 +831,7 @@ class TestCli:
         assert self.run("construct", "--n", "6", "--k", "2", "--seed", "3", "--out", archive) == 0
         state_path = tmp_path / "state.json"
         state = FermionicState.random_pure(6, np.random.default_rng(5))
-        state_path.write_text(io.state_to_json(state))
+        state_path.write_text(state_to_json(state))
         calls.clear()
         out = tmp_path / "shots.csv"
         assert self.run(
@@ -805,65 +843,76 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 301
 
 
-# Runs the CLI commands given as a JSON list of [name, argv] pairs in one
-# interpreter and prints the majorana_jm modules loaded after each.
+# Runs one CLI command in a fresh interpreter and prints the majorana_jm
+# modules loaded before it (the package and cli) and after it, its exit code,
+# and the module that the package attribute majorana_jm.sampling loads.
 _IMPORT_PROBE = """
 import json, sys
 import majorana_jm, majorana_jm.cli
-def loaded():
-    return sorted(m[len("majorana_jm."):] for m in sys.modules if m.startswith("majorana_jm."))
-seen = {"bare": sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")}
-for name, argv in json.loads(sys.argv[1]):
-    majorana_jm.cli.main(argv)
-    seen[name] = loaded()
-if "simulate" in seen:
-    seen["attribute"] = majorana_jm.sampling.simulate_shots.__module__
-print(json.dumps(seen))
+bare = sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")
+code = majorana_jm.cli.main(json.loads(sys.argv[1]))
+after = sorted(m[len("majorana_jm."):] for m in sys.modules if m.startswith("majorana_jm."))
+attribute = majorana_jm.sampling.simulate_shots.__module__
+print(json.dumps({"bare": bare, "code": code, "after": after, "attribute": attribute}))
 """
 
 
-def _modules_loaded(commands, cwd):
+def _modules_loaded(argv, cwd, code=0):
     src = str(Path(majorana_jm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(out.stdout.splitlines()[-1])
+    probe = json.loads(out.stdout.splitlines()[-1])
+    assert probe["bare"] == ["majorana_jm.cli"]  # the package imports no submodule up front
+    assert probe["code"] == code, out.stderr
+    assert probe["attribute"] == "majorana_jm.sampling"
+    return probe["after"]
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
-    """The package imports no submodule up front, and each command loads only what it calls."""
-    (tmp_path / "state.json").write_text(
-        json.dumps({"n_modes": 4, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 15})
-    )
-    loaded = _modules_loaded(
-        [
-            ["construct", ["construct", "--n", "4", "--k", "1", "--out", "ens.zip"]],
-            ["validate", ["validate", "--ensemble", "ens.zip"]],
-            ["simulate", ["simulate", "--state", "state.json", "--ensemble", "ens.zip",
-                          "--shots", "5", "--seed", "1", "--out", "shots.csv"]],
-        ],
-        tmp_path,
-    )
-    assert loaded["bare"] == ["majorana_jm.cli"]
-    # no compile in construct or validate (n > 3): no algebra, no povm
-    assert loaded["construct"] == ["cli", "gaussian", "io", "matching"]
-    assert loaded["validate"] == loaded["construct"]
-    assert loaded["simulate"] == ["algebra", "cli", "gaussian", "io", "matching", "sampling"]
-    assert loaded["attribute"] == "majorana_jm.sampling"
-    # sharpness reads minors only: povm without its dense oracles' algebra;
-    # a degree-4 scan loads the block kernel
-    loaded = _modules_loaded(
-        [
-            ["sharpness", ["sharpness", "--ensemble", "ens.zip", "--out", "sharpness.csv"]],
-            ["construct_k2", ["construct", "--n", "6", "--k", "2", "--seed", "1", "--out", "ens2.zip"]],
-        ],
-        tmp_path,
-    )
-    assert loaded["sharpness"] == ["cli", "gaussian", "io", "matching", "povm"]
-    assert loaded["construct_k2"] == ["_blockminors", "cli", "gaussian", "io", "matching", "povm"]
+    """Each command loads the shared modules and those its own path runs, never the paper module.
+
+    Every command runs in its own interpreter, so each set is that command's alone.
+    """
+    assert main(["construct", "--n", "4", "--k", "1", "--out", str(tmp_path / "ens.zip")]) == 0
+    assert main(["construct", "--n", "3", "--k", "1", "--out", str(tmp_path / "ens3.zip")]) == 0
+    (tmp_path / "state.json").write_text(state_to_json(FermionicState.basis_state(4)))
+    (tmp_path / "ham.json").write_text(json.dumps({"terms": [[[1, 3], 0.5], [[1, 2, 3, 5], -0.25]]}))
+    estimate = ["estimate", "--state", "state.json", "--ensemble", "ens.zip", "--targets", "gamma[1,2]",
+                "--hamiltonian", "ham.json"]
+    expected = [
+        # no compile in construct or validate (n > 3): no algebra, no povm
+        (["construct", "--n", "4", "--k", "1", "--out", "e.zip"], ["matching", "turan"]),
+        (["validate", "--ensemble", "ens.zip"], ["matching"]),
+        (["validate", "--ensemble", "ens3.zip"], ["algebra", "effects", "matching"]),
+        # sharpness reads minors only: povm without the dense effects
+        (["sharpness", "--ensemble", "ens.zip", "--out", "sharpness.csv"], ["matching", "povm"]),
+        # simulate reads no coverage: neither the minor scan nor the sharpness tables
+        (["simulate", "--state", "state.json", "--ensemble", "ens.zip", "--shots", "5", "--seed", "1",
+          "--out", "shots.csv"], ["algebra", "sampling"]),
+        # the degree-4 term scans at 2k = 4, which loads the block kernel
+        ([*estimate, "--shots", "50", "--seed", "1", "--out", "sampled.json"],
+         ["_blockminors", "algebra", "matching", "povm", "sampling"]),
+        ([*estimate, "--out", "exact.json"], ["_blockminors", "algebra", "matching", "povm", "sampling"]),
+        # degree 2 on 3 modes searches the sections; on 4 a skew-Hadamard tournament certifies
+        (["robustness", "--n", "3", "--k", "2"], ["algebra", "baselines", "matching", "robustness", "turan"]),
+        (["robustness", "--n", "4", "--k", "2"], ["baselines", "matching", "robustness", "turan"]),
+        (["compare", "--n-range", "2:3", "--k", "1"], ["baselines", "matching", "turan"]),
+        (["construct", "--n", "6", "--k", "2", "--seed", "1", "--out", "e2.zip"],
+         ["_blockminors", "matching", "turan"]),
+    ]
+    for argv, modules in expected:
+        loaded = _modules_loaded(argv, tmp_path)
+        assert loaded == sorted(["cli", "ensemble", "gaussian", "io", *modules]), argv
+        assert "paper" not in loaded
+        if argv[0] == "simulate":
+            assert "matching" not in loaded and "povm" not in loaded
+    # a refused command classifies its error without loading sampling
+    loaded = _modules_loaded(["construct", "--n", "0", "--out", "e0.zip"], tmp_path, code=4)
+    assert loaded == ["cli", "ensemble", "gaussian", "io", "matching"]
 
 
 class TestMixedDegreeHamiltonian:
@@ -906,7 +955,7 @@ def _cli_peak_rss_mb(args, cwd):
 def test_simulate_peak_memory(tmp_path):
     """n=8 simulate holds one compiled unitary at a time, not thousands of dense monomials."""
     state = FermionicState.random_pure(8, np.random.default_rng(11))
-    (tmp_path / "state.json").write_text(io.state_to_json(state))
+    (tmp_path / "state.json").write_text(state_to_json(state))
     _cli_peak_rss_mb(
         ["construct", "--n", "8", "--k", "2", "--seed", "1", "--out", "ens.zip"], tmp_path
     )

@@ -13,21 +13,19 @@ from majorana_jm.algebra import (
     canonical_monomial,
     dense_matrix,
     monomial_product,
-    pauli_dense,
     subsets_of_size,
-    to_pauli,
 )
 from majorana_jm.gaussian import (
-    LowerFlatMatrix,
     OrthogonalMatrix,
     compile_gaussian_unitary,
     givens_factors,
-    lower_flat,
-    minor_expansion_check,
     random_orthogonal,
     submatrix_det,
-    sylvester_hadamard,
 )
+from majorana_jm.paper import pauli_dense, to_pauli
+from majorana_jm.turan import LowerFlatMatrix, lower_flat, sylvester_hadamard
+
+from oracles import minor_expansion_check
 
 
 def rotation_residual(o, n):

@@ -10,26 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorana_jm import _blockminors, matching
-from majorana_jm.gaussian import lower_flat, random_orthogonal, submatrix_det
+from majorana_jm.ensemble import COVERAGE_TOL, CoverageError
+from majorana_jm.gaussian import random_orthogonal, submatrix_det
 from majorana_jm.matching import (
-    COVERAGE_TOL,
-    CoverageError,
-    build_partition,
     degree2_ensemble,
     degree2k_ensemble,
     diag_index_sets,
-    is_generated,
     minor_dets,
-    partition_failure_prob,
+    scan_minors,
+)
+from majorana_jm.paper import partition_failure_prob, random_partition
+from majorana_jm.turan import (
+    build_partition,
+    lower_flat,
     permutation_cycles,
     permutation_matrix,
     pi_permutation,
-    random_partition,
-    scan_minors,
     sigma_permutation,
     sparse_matching,
     turan_side,
 )
+
+
+def is_generated(subset, partition_blocks) -> bool:
+    """True when no two elements of ``subset`` fall in one partition block."""
+    colors = [partition_blocks[v] for v in subset]
+    return len(set(colors)) == len(colors)
+
 
 PRINTED_O2 = np.array(
     [
@@ -63,7 +70,7 @@ class TestMatching:
         assert permutation_cycles(pi) == [(1,), (2, 3), (4, 5), (6,)]
 
     def test_pi_identity_on_standard_pairs(self):
-        from majorana_jm.matching import PerfectMatching
+        from majorana_jm.turan import PerfectMatching
 
         m = PerfectMatching(6, ((1, 2), (3, 4), (5, 6)))
         assert np.array_equal(pi_permutation(m), np.arange(6))

@@ -6,19 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from majorana_jm.algebra import canonical_monomial, commutation_sign, dense_matrix
+from majorana_jm.algebra import canonical_monomial, dense_matrix
+from majorana_jm.effects import effect_table, marginal_effect, parent_validate, povm_validate
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
 from majorana_jm.matching import degree2_ensemble
-from majorana_jm.povm import (
+from majorana_jm.paper import commutation_sign
+from majorana_jm.povm import sharpness_table, two_observable_correlation
+
+from oracles import (
     degree1_marginal,
     degree1_parent_effect,
-    effect_table,
-    marginal_effect,
-    parent_validate,
-    povm_validate,
-    sharpness_table,
     subset_from_x_string,
-    two_observable_correlation,
     x_string_from_subset,
 )
 
@@ -90,7 +88,7 @@ class TestMarginalEffect:
     def test_marginalization_chain_reproduces_single_pair_povm(self):
         # summing the full table over the discarded computational outcomes
         # leaves 2^-(2n+1) (1 + q_R sum_S x_S det(O_{R,S}) gamma_S)
-        from majorana_jm.povm import minor_terms
+        from majorana_jm.effects import minor_terms
 
         n = 2
         rng = np.random.default_rng(77)
@@ -193,7 +191,8 @@ class TestTwoObservableCorrelation:
             np.trace(dense_matrix(canonical_monomial(n, sd)) @ rho)
         )
         # exact expectation of e_S e_S' over the dense outcome table
-        from majorana_jm.povm import outcome_probabilities, minor_terms
+        from majorana_jm.povm import outcome_probabilities
+        from majorana_jm.effects import minor_terms
 
         probs = outcome_probabilities(o, rho, n)
         tau1, tau2 = np.sign(d1), np.sign(d2)

@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorana_jm import robustness
-from majorana_jm.algebra import canonical_monomial, pauli_dense, subsets_of_size, to_pauli
+from majorana_jm.algebra import canonical_monomial, subsets_of_size
+from majorana_jm.baselines import ho_bound, ho_bound_proven, thm2_upper_bound
+from majorana_jm.paper import (
+    exhaustive_tournament_max,
+    pauli_dense,
+    random_tournament,
+    to_pauli,
+    tournament_bound_check,
+    tournament_from_section,
+)
 from majorana_jm.robustness import (
     BRUTE_FORCE_BUDGET,
     RobustnessReport,
@@ -20,16 +29,9 @@ from majorana_jm.robustness import (
     build_report,
     degree2_norm,
     exact_robustness,
-    exhaustive_tournament_max,
-    ho_bound,
-    ho_bound_proven,
-    random_tournament,
     robustness_bruteforce,
     section_from_tournament,
     skew_hadamard_search,
-    thm2_upper_bound,
-    tournament_bound_check,
-    tournament_from_section,
 )
 
 

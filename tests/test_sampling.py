@@ -14,48 +14,35 @@ from majorana_jm.algebra import (
     apply_monomial,
     canonical_monomial,
     parity,
-    pauli_dense,
     subsets_of_size,
-    to_pauli,
 )
+from majorana_jm.ensemble import COVERAGE_TOL, UncoveredTargetError, custom_ensemble
 from majorana_jm.gaussian import compile_gaussian_unitary, random_orthogonal
-from majorana_jm.matching import (
-    COVERAGE_TOL,
-    custom_ensemble,
-    degree2_ensemble,
-    degree2k_ensemble,
-    permutation_matrix,
-)
-from majorana_jm.povm import (
-    outcome_probabilities,
-    sharpness_table,
-    x_string_from_subset,
-)
+from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
+from majorana_jm.paper import pauli_dense, sample_complexity, to_pauli
+from majorana_jm.povm import outcome_probabilities, sharpness_table
 from majorana_jm.sampling import (
     EstimationRecord,
     FermionicState,
     HamiltonianSpec,
     ShotBatch,
-    UncoveredTargetError,
-    analytic_estimates,
-    degree1_variance,
-    estimate_expectations,
-    estimate_hamiltonian,
-    exact_expectations,
-    predicted_variance,
-    sample_complexity,
-    shot_probability_table,
-    simulate_degree1_shots,
-    simulate_shots,
-)
-from majorana_jm.sampling import (
     _born_cdfs,
     _eigenstates,
     _filled_signs,
     _mask_bits,
     _sector_blocks,
     _sign_rule,
+    analytic_estimates,
+    estimate_expectations,
+    estimate_hamiltonian,
+    exact_expectations,
+    predicted_variance,
+    shot_probability_table,
+    simulate_shots,
 )
+from majorana_jm.turan import permutation_matrix
+
+from oracles import degree1_variance, simulate_degree1_shots, x_string_from_subset
 
 
 def sector_cdfs(o, weights, rows, masks, n):
@@ -529,12 +516,12 @@ def random_batch(n, n_matrices, shots, rng):
 
 def test_sampling_never_goes_through_pauli_letters(monkeypatch):
     # monomials act through their support bits; to_pauli is only the oracle
-    from majorana_jm import algebra
+    from majorana_jm import paper
 
     def forbidden(m):
         raise AssertionError("to_pauli called")
 
-    monkeypatch.setattr(algebra, "to_pauli", forbidden)
+    monkeypatch.setattr(paper, "to_pauli", forbidden)
     rng = np.random.default_rng(6)
     ens = degree2_ensemble(3)
     table = sharpness_table(ens)
