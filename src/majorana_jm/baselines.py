@@ -11,7 +11,7 @@ and the robustness reports both read them here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "MappingModel",
@@ -25,16 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MappingModel:
+class MappingModel(namedtuple("MappingModel", "kind n_modes")):
     """Fermion-to-qubit mapping abstracted to its generator weight profile."""
 
-    kind: str  # jordan-wigner | ternary-tree
-    n_modes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("jordan-wigner", "ternary-tree"):
-            raise ValueError(f"unknown mapping {self.kind!r}")
+    def __new__(cls, kind: str, n_modes: int):  # kind: jordan-wigner | ternary-tree
+        if kind not in ("jordan-wigner", "ternary-tree"):
+            raise ValueError(f"unknown mapping {kind!r}")
+        return super().__new__(cls, kind, n_modes)
 
     def generator_weight(self, index: int) -> int:
         """Pauli weight of the image of one generator (1-based index)."""
@@ -113,21 +112,12 @@ def comparison_rows(n_values, half_degree: int, construction_seed: int = 0):
     shadow_jm_bound, ho_bound, thm2_upper.  Construction entries are blank
     where the ensemble is infeasible.
     """
-    from majorana_jm.ensemble import CoverageError
-    from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
-
     rows = []
     for n in n_values:
         if half_degree > n:
             continue
-        try:
-            if half_degree == 1:
-                ens = degree2_ensemble(n)
-            else:
-                ens = degree2k_ensemble(n, half_degree, seed=construction_seed)
-            eta_construction = ens.coverage.min_eta
-        except (ValueError, CoverageError):
-            eta_construction = None
+        ens = _construction(n, half_degree, construction_seed)
+        eta_construction = None if ens is None else ens.coverage.min_eta
         model = MappingModel("ternary-tree", n)
         rows.append(
             {
@@ -141,3 +131,23 @@ def comparison_rows(n_values, half_degree: int, construction_seed: int = 0):
             }
         )
     return rows
+
+
+def _construction(n_modes: int, half_degree: int, seed: int):
+    """The explicit ensemble of the construction, or None where it is infeasible.
+
+    A size with ``2k > l + 1`` is refused before the builders are loaded.
+    """
+    from majorana_jm.ensemble import CoverageError
+    from majorana_jm.turan import construction_fits
+
+    if not construction_fits(n_modes, half_degree):
+        return None
+    from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
+
+    try:
+        if half_degree == 1:
+            return degree2_ensemble(n_modes)
+        return degree2k_ensemble(n_modes, half_degree, seed=seed)
+    except (ValueError, CoverageError):
+        return None

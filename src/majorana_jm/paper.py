@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -87,20 +87,17 @@ _PAULI_MUL = {
 }
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(namedtuple("PauliString", "n_qubits letters phase_quarter")):
     """Tensor product of single-qubit Paulis times ``i**phase_quarter``."""
 
-    n_qubits: int
-    letters: tuple[str, ...]
-    phase_quarter: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.letters) != self.n_qubits:
+    def __new__(cls, n_qubits: int, letters: tuple[str, ...], phase_quarter: int):
+        if len(letters) != n_qubits:
             raise ValueError("letter count must equal n_qubits")
-        if any(c not in "IXYZ" for c in self.letters):
+        if any(c not in "IXYZ" for c in letters):
             raise ValueError("letters must be I, X, Y or Z")
-        object.__setattr__(self, "phase_quarter", self.phase_quarter % 4)
+        return super().__new__(cls, n_qubits, letters, phase_quarter % 4)
 
     @property
     def weight(self) -> int:
@@ -154,17 +151,15 @@ def commutation_sign(set_a, set_b) -> int:
     return -1 if exponent % 2 else 1
 
 
-@dataclass(frozen=True)
-class BraidElement:
+class BraidElement(namedtuple("BraidElement", "i j inverse_flag")):
     """Exchange unitary for the generator pair ``(i, j)`` with ``i < j``."""
 
-    i: int
-    j: int
-    inverse_flag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
+    def __new__(cls, i: int, j: int, inverse_flag: bool = False):
+        if not 1 <= i < j:
             raise ValueError("require 1 <= i < j")
+        return super().__new__(cls, i, j, inverse_flag)
 
     def inverse(self) -> "BraidElement":
         return BraidElement(self.i, self.j, not self.inverse_flag)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from majorana_jm.baselines import ho_bound, ho_bound_proven, shadow_jm_bound, thm2_upper_bound
+from majorana_jm.baselines import _construction, ho_bound, ho_bound_proven, shadow_jm_bound, thm2_upper_bound
 
 __all__ = [
     "SignSection",
@@ -55,20 +56,18 @@ _CHUNK = 4096
 _FIRST_OPEN_SKEW_ORDER = 276
 
 
-@dataclass(frozen=True)
-class SignSection:
+class SignSection(namedtuple("SignSection", "n_modes degree signs")):
     """Signs over all degree-k supports, lexicographically ordered."""
 
-    n_modes: int
-    degree: int
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        count = math.comb(2 * self.n_modes, self.degree)
-        if len(self.signs) != count:
+    def __new__(cls, n_modes: int, degree: int, signs: tuple[int, ...]):
+        count = math.comb(2 * n_modes, degree)
+        if len(signs) != count:
             raise ValueError(f"need {count} signs")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
+        return super().__new__(cls, n_modes, degree, signs)
 
     def __str__(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.signs)
@@ -78,14 +77,16 @@ class SignSection:
         return cls(n_modes, degree, tuple(1 if c == "+" else -1 for c in text))
 
 
-@dataclass(frozen=True)
-class TournamentMatrix:
-    """Antisymmetric matrix with +-1 off the zero diagonal."""
+class TournamentMatrix(namedtuple("TournamentMatrix", "entries")):
+    """Antisymmetric matrix with +-1 off the zero diagonal.
 
-    entries: np.ndarray
+    A one-field tuple: read the array from ``entries``, not ``np.asarray(self)``.
+    """
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("must be square")
         if np.any(np.diag(arr) != 0):
@@ -96,7 +97,7 @@ class TournamentMatrix:
         if np.any(np.abs(off) != 1):
             raise ValueError("off-diagonal entries must be +-1")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        return super().__new__(cls, arr)
 
     @property
     def size(self) -> int:
@@ -151,8 +152,7 @@ def appendix_tournament_4() -> TournamentMatrix:
     )
 
 
-@dataclass(frozen=True)
-class SkewHadamardResult:
+class SkewHadamardResult(NamedTuple):
     order: int
     status: str  # found | none | exists | open | unknown
     tournament: TournamentMatrix | None = None
@@ -239,25 +239,20 @@ def skew_hadamard_search(order: int) -> SkewHadamardResult:
     return SkewHadamardResult(order, "unknown", None, "beyond the existence table")
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    n_modes: int
-    degree: int
-    # brute-force | degree2-spectral (the section search) | skew-hadamard |
+class RobustnessReport(namedtuple("RobustnessReport", "n_modes degree method value section bounds")):
+    # method: brute-force | degree2-spectral (the section search) | skew-hadamard |
     # parity-dual (certificates, see exact_robustness) | bound-only
-    method: str
-    value: float | None
-    section: str | None
-    bounds: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        lower = self.bounds.get("construction_lower")
-        upper = self.bounds.get("thm2_upper")
-        if self.value is not None:
-            if lower is not None and lower > self.value + _NORM_TOL:
+    def __new__(cls, n_modes: int, degree: int, method: str, value, section, bounds: dict):
+        lower = bounds.get("construction_lower")
+        upper = bounds.get("thm2_upper")
+        if value is not None:
+            if lower is not None and lower > value + _NORM_TOL:
                 raise ValueError("lower bound exceeds the exact value")
-            if upper is not None and self.value > upper + _NORM_TOL:
+            if upper is not None and value > upper + _NORM_TOL:
                 raise ValueError("exact value exceeds the upper bound")
+        return super().__new__(cls, n_modes, degree, method, value, section, bounds)
 
 
 def _section_signs(codes: np.ndarray, free: list[int], n_supports: int) -> np.ndarray:
@@ -455,15 +450,8 @@ def _construction_lower(n_modes: int, half_degree: int) -> float | None:
     a true joint-measurability witness and hence a lower bound.  The
     randomized construction runs with seed 0.
     """
-    from majorana_jm.ensemble import CoverageError
-    from majorana_jm.matching import degree2_ensemble, degree2k_ensemble
-
-    try:
-        if half_degree == 1:
-            ens = degree2_ensemble(n_modes)
-        else:
-            ens = degree2k_ensemble(n_modes, half_degree, seed=0)
-    except (ValueError, CoverageError):
+    ens = _construction(n_modes, half_degree, seed=0)
+    if ens is None:
         return None
     # the worst support's mean |minor| over the rotations, read off the table
     return float(np.abs(ens.coverage.per_matrix[1]).mean(axis=0).min())

@@ -17,18 +17,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
-from majorana_jm.ensemble import CoverageError
-from majorana_jm.gaussian import ORTHOGONALITY_TOL
+from majorana_jm.ensemble import COVERAGE_TOL, CoverageError
+from majorana_jm.gaussian import OrthogonalMatrix
 
 __all__ = [
     "TuranPartition",
     "PerfectMatching",
     "LowerFlatMatrix",
     "turan_side",
+    "construction_fits",
     "build_partition",
     "sparse_matching",
     "general_matching",
@@ -43,17 +44,16 @@ __all__ = [
 _HADAMARD_MAX_M = 12
 
 
-@dataclass(frozen=True)
-class TuranPartition:
+class TuranPartition(namedtuple("TuranPartition", "n_vertices subsets")):
     """Partition of ``{1..2n}`` into ``l+1`` contiguous subsets."""
 
-    n_vertices: int
-    subsets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        flat = [v for sub in self.subsets for v in sub]
-        if sorted(flat) != list(range(1, self.n_vertices + 1)):
+    def __new__(cls, n_vertices: int, subsets: tuple[tuple[int, ...], ...]):
+        flat = [v for sub in subsets for v in sub]
+        if sorted(flat) != list(range(1, n_vertices + 1)):
             raise ValueError("subsets must partition {1..2n}")
+        return super().__new__(cls, n_vertices, subsets)
 
     @property
     def n_subsets(self) -> int:
@@ -64,22 +64,20 @@ class TuranPartition:
         return {v: i for i, sub in enumerate(self.subsets) for v in sub}
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
+class PerfectMatching(namedtuple("PerfectMatching", "n_vertices edges")):
     """Perfect matching given as ascending vertex pairs sorted by first vertex."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_vertices: int, edges: tuple[tuple[int, int], ...]):
         seen = set()
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n_vertices):
+        for u, v in edges:
+            if not (1 <= u < v <= n_vertices):
                 raise ValueError(f"bad edge ({u},{v})")
             seen.update((u, v))
-        if len(seen) != self.n_vertices or len(self.edges) != self.n_vertices // 2:
+        if len(seen) != n_vertices or len(edges) != n_vertices // 2:
             raise ValueError("not a perfect matching")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        return super().__new__(cls, n_vertices, tuple(sorted(edges)))
 
     def relaxed_sparseness(self, partition: TuranPartition) -> tuple[bool, tuple[tuple[int, int], ...]]:
         """Sparseness allowing one within-subset edge per enlarged subset.
@@ -117,6 +115,11 @@ def turan_side(n_modes: int) -> tuple[int, int]:
     if t % 2 != 0:
         raise AssertionError("t must be even: 2n and l(l+1) are both even")
     return side, t
+
+
+def construction_fits(n_modes: int, half_degree: int) -> bool:
+    """Whether the degree-2k construction exists at n modes: ``2k <= l + 1``."""
+    return 2 * half_degree <= turan_side(n_modes)[0] + 1
 
 
 def build_partition(n_modes: int) -> TuranPartition:
@@ -246,24 +249,20 @@ def permutation_cycles(perm: np.ndarray) -> list[tuple[int, ...]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class LowerFlatMatrix:
-    """Orthogonal matrix whose entries are all bounded away from zero."""
+class LowerFlatMatrix(namedtuple("LowerFlatMatrix", "entries min_abs_entry")):
+    """Orthogonal matrix whose entries are all bounded away from zero; ``min_abs_entry`` is measured."""
 
-    entries: np.ndarray
-    min_abs_entry: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        gram = arr @ arr.T - np.eye(arr.shape[0])
-        if np.max(np.abs(gram)) > ORTHOGONALITY_TOL:
-            raise ValueError("lower-flat matrix failed the orthogonality gate")
+    def __new__(cls, entries):
+        arr = OrthogonalMatrix(entries).entries
         smallest = float(np.min(np.abs(arr)))
         if smallest <= 0.0:
             raise ValueError("lower-flat matrix has a zero entry")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "min_abs_entry", smallest)
+        return super().__new__(cls, arr, smallest)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the entries alone
+        return (self.entries,)
 
     @property
     def size(self) -> int:
@@ -402,21 +401,24 @@ def _certify_degree2(coverage, blocks, partition, within_pairs, sigma):
     lower-flat entries; same-subset pairs by the second rotation at a product
     taken in the blocks their sigma-images land in; the reserved extra pairs
     by the orthogonality-forced minor, worth twice the squared smallest entry
-    of their block.
+    of their block.  The bounds of all pairs are one array, in support order.
     """
-    color = partition.color_of()
-    within = {frozenset(p) for p in within_pairs}
-    for row in coverage.rows:
-        a, b = row.subset
-        ca, cb = color[a], color[b]
-        if frozenset(row.subset) in within:
-            bound = 2.0 * blocks[ca].min_abs_entry ** 2
-        elif ca == cb:
-            ia, ib = color[int(sigma[a - 1]) + 1], color[int(sigma[b - 1]) + 1]
-            bound = blocks[ia].min_abs_entry * blocks[ib].min_abs_entry
-        else:
-            bound = blocks[ca].min_abs_entry * blocks[cb].min_abs_entry
-        if row.r is None or row.eta < bound - 1e-12:
-            raise CoverageError(
-                f"pair {row.subset} covered at {row.eta:.3e}, below bound {bound:.3e}"
-            )
+    color_of = partition.color_of()
+    color = np.array([color_of[v] for v in range(1, partition.n_vertices + 1)])
+    entry = np.array([b.min_abs_entry for b in blocks])
+    a, b = coverage.cols.T.astype(np.intp)
+    ca, cb = color[a], color[b]
+    same = ca == cb
+    if same.any():  # n >= 2, so there is a second rotation and its sigma
+        ca[same], cb[same] = color[sigma[a[same]]], color[sigma[b[same]]]
+    bound = entry[ca] * entry[cb]
+    for pair in within_pairs:
+        bound[coverage.index[tuple(pair)]] = 2.0 * blocks[color_of[pair[0]]].min_abs_entry ** 2
+    eta = coverage.best[0]
+    failed = np.flatnonzero((eta <= COVERAGE_TOL) | (eta < bound - 1e-12))
+    if failed.size:
+        j = int(failed[0])
+        row = coverage.row_at(j)
+        raise CoverageError(
+            f"pair {row.subset} covered at {row.eta:.3e}, below bound {float(bound[j]):.3e}"
+        )

@@ -852,8 +852,9 @@ import majorana_jm, majorana_jm.cli
 bare = sorted(m for m in sys.modules if m.startswith("majorana_jm.") or m == "numpy")
 code = majorana_jm.cli.main(json.loads(sys.argv[1]))
 after = sorted(m[len("majorana_jm."):] for m in sys.modules if m.startswith("majorana_jm."))
+records = "dataclasses" in sys.modules
 attribute = majorana_jm.sampling.simulate_shots.__module__
-print(json.dumps({"bare": bare, "code": code, "after": after, "attribute": attribute}))
+print(json.dumps({"bare": bare, "code": code, "after": after, "dataclasses": records, "attribute": attribute}))
 """
 
 
@@ -868,6 +869,7 @@ def _modules_loaded(argv, cwd, code=0):
     probe = json.loads(out.stdout.splitlines()[-1])
     assert probe["bare"] == ["majorana_jm.cli"]  # the package imports no submodule up front
     assert probe["code"] == code, out.stderr
+    assert not probe["dataclasses"]  # every record is a named tuple
     assert probe["attribute"] == "majorana_jm.sampling"
     return probe["after"]
 
@@ -900,6 +902,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         # degree 2 on 3 modes searches the sections; on 4 a skew-Hadamard tournament certifies
         (["robustness", "--n", "3", "--k", "2"], ["algebra", "baselines", "matching", "robustness", "turan"]),
         (["robustness", "--n", "4", "--k", "2"], ["baselines", "matching", "robustness", "turan"]),
+        # 2k = 4 > l + 1 = 3 at n = 3: no construction, so no scan
+        (["robustness", "--n", "3", "--k", "4"], ["algebra", "baselines", "robustness", "turan"]),
         (["compare", "--n-range", "2:3", "--k", "1"], ["baselines", "matching", "turan"]),
         (["construct", "--n", "6", "--k", "2", "--seed", "1", "--out", "e2.zip"],
          ["_blockminors", "matching", "turan"]),

@@ -1,6 +1,8 @@
 """Tests for orthogonal utilities and Gaussian-unitary compilation."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -94,6 +96,17 @@ class TestLowerFlat:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError):
             LowerFlatMatrix(np.eye(2))
+
+    def test_orthogonality_is_the_orthogonal_matrix_gate(self):
+        with pytest.raises(ValueError, match="orthogonality gate failed"):
+            LowerFlatMatrix(np.full((2, 2), 0.5))
+
+    def test_copies_rebuild_from_the_entries(self):
+        f = lower_flat(5)
+        for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert np.array_equal(twin.entries, f.entries)
+            assert twin.min_abs_entry == f.min_abs_entry
+            assert not twin.entries.flags.writeable
 
 
 class TestCompile:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,10 @@ from majorana_jm.matching import (
 )
 from majorana_jm.paper import partition_failure_prob, random_partition
 from majorana_jm.turan import (
+    _base_rotation,
+    _certify_degree2,
     build_partition,
+    construction_fits,
     lower_flat,
     permutation_cycles,
     permutation_matrix,
@@ -115,6 +119,14 @@ class TestPartition:
             _, t = turan_side(n)
             assert t % 2 == 0
 
+    @pytest.mark.parametrize("half", range(1, 7))
+    def test_construction_fits_agrees_with_the_builder(self, half):
+        # N = 0 is refused only after the size check, so no ensemble is built
+        for n in range(1, 31):
+            message = "too large" if not construction_fits(n, half) else "need N >= 1"
+            with pytest.raises(ValueError, match=message):
+                degree2k_ensemble(n, half, n_matrices=0, seed=1)
+
 
 class TestDegree2Ensemble:
     def test_n3_matches_worked_example(self):
@@ -162,6 +174,83 @@ class TestDegree2Ensemble:
         sub = o1[np.ix_([r - 1 for r in row.rows], [0, 2])]
         nonzero = sub[np.abs(sub) > 1e-14]
         assert abs(abs(det) - abs(np.prod(nonzero))) < 1e-12
+
+
+def _certify_by_rows(coverage, blocks, partition, within_pairs, sigma):
+    """Support-by-support oracle of the degree-2 certificate: the first failure's text, or None."""
+    color = partition.color_of()
+    within = {frozenset(p) for p in within_pairs}
+    for row in coverage.rows:
+        a, b = row.subset
+        if frozenset(row.subset) in within:
+            bound = 2.0 * blocks[color[a]].min_abs_entry ** 2
+        elif color[a] == color[b]:
+            ia, ib = color[int(sigma[a - 1]) + 1], color[int(sigma[b - 1]) + 1]
+            bound = blocks[ia].min_abs_entry * blocks[ib].min_abs_entry
+        else:
+            bound = blocks[color[a]].min_abs_entry * blocks[color[b]].min_abs_entry
+        if row.r is None or row.eta < bound - 1e-12:
+            return f"pair {row.subset} covered at {row.eta:.3e}, below bound {bound:.3e}"
+    return None
+
+
+def _degree2_pieces(n):
+    ens = degree2_ensemble(n)
+    blocks = _base_rotation(n)[1]
+    return ens.coverage, blocks, ens.partition, ens.within_pairs, ens.sigmas[-1]
+
+
+class TestDegree2Certificate:
+    """``_certify_degree2`` on a real construction with tampered blocks, sigma or reserved pairs."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_real_construction_passes(self, n):
+        _certify_degree2(*_degree2_pieces(n))
+        assert _certify_by_rows(*_degree2_pieces(n)) is None
+
+    def test_cross_pair_fails_at_its_blocks_product(self):
+        coverage, blocks, partition, within, sigma = _degree2_pieces(3)
+        blocks = [blocks[0]._replace(min_abs_entry=1.0), *blocks[1:]]
+        bound = 1.0 * blocks[1].min_abs_entry
+        text = f"pair (1, 3) covered at {coverage.row_for((1, 3)).eta:.3e}, below bound {bound:.3e}"
+        with pytest.raises(CoverageError, match=re.escape(text)):
+            _certify_degree2(coverage, blocks, partition, within, sigma)
+
+    def test_same_subset_pair_takes_the_blocks_of_its_sigma_images(self):
+        # sigma sends 1 and 2 into the blocks of {3, 4} and {5, 6}
+        coverage, blocks, partition, within, sigma = _degree2_pieces(3)
+        blocks = [*blocks[:2], blocks[2]._replace(min_abs_entry=1.0)]
+        bound = blocks[1].min_abs_entry * 1.0
+        text = f"pair (1, 2) covered at {coverage.row_for((1, 2)).eta:.3e}, below bound {bound:.3e}"
+        with pytest.raises(CoverageError, match=re.escape(text)):
+            _certify_degree2(coverage, blocks, partition, within, sigma)
+        # with sigma the identity, (1, 2) takes block 0 twice and passes; (1, 5) is the first to fail
+        text = f"pair (1, 5) covered at {coverage.row_for((1, 5)).eta:.3e}, below bound {bound:.3e}"
+        with pytest.raises(CoverageError, match=re.escape(text)):
+            _certify_degree2(coverage, blocks, partition, within, np.arange(6))
+
+    def test_reserved_pair_takes_twice_its_squared_entry(self):
+        coverage, blocks, partition, _, sigma = _degree2_pieces(3)
+        bound = 2.0 * blocks[0].min_abs_entry ** 2
+        text = f"pair (1, 2) covered at {coverage.row_for((1, 2)).eta:.3e}, below bound {bound:.3e}"
+        with pytest.raises(CoverageError, match=re.escape(text)):
+            _certify_degree2(coverage, blocks, partition, ((1, 2),), sigma)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tampered_blocks_and_sigma_match_the_row_oracle(self, n):
+        coverage, blocks, partition, within, sigma = _degree2_pieces(n)
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            scale = rng.uniform(0.9, 1.3, size=len(blocks))
+            tampered = [b._replace(min_abs_entry=b.min_abs_entry * f) for b, f in zip(blocks, scale)]
+            perm = sigma if trial % 2 else rng.permutation(2 * n)
+            expected = _certify_by_rows(coverage, tampered, partition, within, perm)
+            if expected is None:
+                _certify_degree2(coverage, tampered, partition, within, perm)
+                continue
+            with pytest.raises(CoverageError) as caught:
+                _certify_degree2(coverage, tampered, partition, within, perm)
+            assert str(caught.value) == expected
 
 
 class TestDegree2kEnsemble:
